@@ -250,7 +250,7 @@ void PerturbSlot(VType& slot, Rng& rng) {
       slot = slot.kind == VType::Kind::kInt ? VType::Long() : VType::Int();
       break;
     case 2:
-      slot = VType::Ref(slot.kind == VType::Kind::kRef ? slot.name + "X" : "java/lang/Object");
+      slot = VType::Ref(slot.kind == VType::Kind::kRef ? slot.name() + "X" : "java/lang/Object");
       break;
     default:
       slot = VType::Null();

@@ -9,6 +9,7 @@
 #include "src/rewrite/filter.h"
 #include "src/runtime/machine.h"
 #include "src/runtime/syslib.h"
+#include "src/services/monitor_service.h"
 #include "src/services/verify_service.h"
 #include "src/support/hash.h"
 #include "src/verifier/certificate.h"
@@ -75,6 +76,12 @@ std::string CheckRoundTrip(const Bytes& data) {
 }
 
 std::string CheckRewritePipeline(const Bytes& data) {
+  // Unverified code reaches the rewriters directly; they must still return,
+  // with an output or a typed error, whatever the bytes claim.
+  FilterPipeline unverified(&GetSyslib().env);
+  unverified.Add(std::make_unique<AuditFilter>());
+  (void)unverified.Run(data);
+
   FilterPipeline pipeline(&GetSyslib().env);
   pipeline.Add(std::make_unique<VerificationFilter>());
 

@@ -29,8 +29,11 @@ namespace fuzz {
 std::string CheckRoundTrip(const Bytes& data);
 
 // FilterPipeline (verification filter over the system library) on the raw
-// bytes, then again on its own output. Violations: non-idempotent output or
-// second-pass failure on bytes the pipeline itself produced.
+// bytes, then again on its own output; then an audit-only pipeline with no
+// verification in front, as a proxy configured without verification runs.
+// Violations: non-idempotent output, second-pass failure on bytes the
+// pipeline itself produced, or an unverified pipeline that does not return
+// (the harness's time limit catches that one).
 std::string CheckRewritePipeline(const Bytes& data);
 
 // Verifier↔interpreter differential oracle. Parses and verifies against the

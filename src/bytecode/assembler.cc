@@ -1,5 +1,6 @@
 #include "src/bytecode/assembler.h"
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 
@@ -481,8 +482,7 @@ std::string ToAssembly(const ClassFile& cls) {
     if (m.code.has_value()) {
       auto decoded = DecodeCode(m.code->code);
       if (decoded.ok()) {
-        const auto& instrs = decoded.value();
-        std::vector<uint32_t> offsets = CodeByteOffsets(instrs);
+        const auto& instrs = decoded->instrs;
         // Collect label positions: branch targets and handler boundaries.
         std::map<size_t, std::string> labels;
         auto label_at = [&labels](size_t index) {
@@ -503,18 +503,11 @@ std::string ToAssembly(const ClassFile& cls) {
         };
         std::vector<HandlerIx> handler_ixs;
         for (const auto& h : m.code->handlers) {
-          HandlerIx ix{0, 0, 0, ""};
-          for (size_t i = 0; i < offsets.size(); i++) {
-            if (offsets[i] == h.start_pc) {
-              ix.start = i;
-            }
-            if (offsets[i] == h.end_pc) {
-              ix.end = i;
-            }
-            if (offsets[i] == h.handler_pc) {
-              ix.handler = i;
-            }
-          }
+          // A pc on no instruction boundary labels instruction 0.
+          auto index_at = [&decoded](uint32_t pc) {
+            return static_cast<size_t>(std::max(decoded->IndexAt(pc), 0));
+          };
+          HandlerIx ix{index_at(h.start_pc), index_at(h.end_pc), index_at(h.handler_pc), ""};
           if (h.catch_type != 0) {
             auto name = cls.pool().ClassNameAt(h.catch_type);
             if (name.ok()) {

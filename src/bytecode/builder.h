@@ -80,8 +80,6 @@ class MethodBuilder {
   MethodBuilder(ClassBuilder* owner, uint16_t access_flags, std::string name,
                 std::string descriptor);
 
-  Result<uint16_t> ComputeMaxStack(const std::vector<Instr>& instrs) const;
-
   struct HandlerSpec {
     Label start, end, handler;
     std::string catch_class;

@@ -1,18 +1,16 @@
 #include "src/bytecode/code.h"
 
-#include <unordered_map>
-
 namespace dvm {
 
-Result<std::vector<Instr>> DecodeCode(const Bytes& code) {
-  std::vector<Instr> instrs;
-  // Byte offset of each decoded instruction, for branch target mapping.
-  std::unordered_map<uint32_t, uint32_t> offset_to_index;
-  struct PendingBranch {
-    size_t instr_index;
-    uint32_t target_offset;
-  };
-  std::vector<PendingBranch> pending;
+Result<DecodedCode> DecodeCode(const Bytes& code) {
+  DecodedCode out;
+  std::vector<Instr>& instrs = out.instrs;
+  out.pc_to_index.assign(code.size() + 1, -1);
+  // Instructions average well over one byte; half the length rarely regrows.
+  out.instrs.reserve(code.size() / 2 + 1);
+  out.offsets.reserve(code.size() / 2 + 2);
+  // Branch instructions, resolved to indices once every start is known.
+  std::vector<uint32_t> branches;
 
   size_t pos = 0;
   while (pos < code.size()) {
@@ -63,7 +61,9 @@ Result<std::vector<Instr>> DecodeCode(const Bytes& code) {
           return Error{ErrorCode::kVerifyError,
                        "branch at offset " + std::to_string(pos) + " escapes method body"};
         }
-        pending.push_back({instrs.size(), static_cast<uint32_t>(target)});
+        // Holds the byte target until every instruction start is known.
+        instr.a = static_cast<int32_t>(target);
+        branches.push_back(static_cast<uint32_t>(instrs.size()));
         break;
       }
       case OperandKind::kLocalIncr:
@@ -71,20 +71,24 @@ Result<std::vector<Instr>> DecodeCode(const Bytes& code) {
         instr.b = static_cast<int8_t>(code[pos + 2]);
         break;
     }
-    offset_to_index[offset] = static_cast<uint32_t>(instrs.size());
+    out.pc_to_index[offset] = static_cast<int32_t>(instrs.size());
+    out.offsets.push_back(offset);
     instrs.push_back(instr);
     pos += static_cast<size_t>(len);
   }
+  out.pc_to_index[code.size()] = static_cast<int32_t>(instrs.size());
+  out.offsets.push_back(static_cast<uint32_t>(code.size()));
 
-  for (const auto& p : pending) {
-    auto it = offset_to_index.find(p.target_offset);
-    if (it == offset_to_index.end()) {
+  for (uint32_t ix : branches) {
+    // In range: the decode loop bounded every target below code.size().
+    int32_t target_ix = out.pc_to_index[static_cast<size_t>(instrs[ix].a)];
+    if (target_ix < 0) {
       return Error{ErrorCode::kVerifyError,
-                   "branch targets mid-instruction offset " + std::to_string(p.target_offset)};
+                   "branch targets mid-instruction offset " + std::to_string(instrs[ix].a)};
     }
-    instrs[p.instr_index].a = static_cast<int32_t>(it->second);
+    instrs[ix].a = target_ix;
   }
-  return instrs;
+  return out;
 }
 
 std::vector<uint32_t> CodeByteOffsets(const std::vector<Instr>& instrs) {

@@ -29,12 +29,30 @@ struct Instr {
   bool operator==(const Instr& other) const = default;
 };
 
+// A decoded method body with its two pc maps, all produced by one pass over
+// the bytes.
+struct DecodedCode {
+  std::vector<Instr> instrs;
+  // Byte offset of each instruction, plus one final entry holding the code
+  // length.
+  std::vector<uint32_t> offsets;
+  // Byte offset -> instruction index, code length + 1 entries: -1 where no
+  // instruction starts, instrs.size() at the code length itself.
+  std::vector<int32_t> pc_to_index;
+
+  // Instruction index starting at byte `pc`, instrs.size() for the code
+  // length, or -1 (also for any pc past the end).
+  int32_t IndexAt(uint32_t pc) const {
+    return pc < pc_to_index.size() ? pc_to_index[pc] : -1;
+  }
+};
+
 // Decodes an instruction stream. Checks that every opcode is known, that no
 // instruction is truncated, and that every branch lands on an instruction
 // boundary within the method (these are the instruction-integrity checks of
 // verification phase 2; the decoder performs them because nothing downstream
 // can operate on code that fails them).
-Result<std::vector<Instr>> DecodeCode(const Bytes& code);
+Result<DecodedCode> DecodeCode(const Bytes& code);
 
 // Encodes a decoded stream back to bytes. Fails if a branch displacement does
 // not fit in 16 bits (methods that large are rejected at build time).

@@ -1,7 +1,5 @@
 #include "src/bytecode/opcodes.h"
 
-#include <unordered_map>
-
 namespace dvm {
 namespace {
 
@@ -11,7 +9,7 @@ struct Entry {
 };
 
 // Stack deltas are in slots; longs take one slot in the DVM (see opcodes.h).
-const Entry kTable[] = {
+constexpr Entry kTable[] = {
     {Op::kNop, {"nop", OperandKind::kNone, 0, false}},
     {Op::kAconstNull, {"aconst_null", OperandKind::kNone, 1, false}},
     {Op::kIconst0, {"iconst_0", OperandKind::kNone, 1, false}},
@@ -114,57 +112,37 @@ const Entry kTable[] = {
     {Op::kInstanceofQuick, {"instanceof_quick", OperandKind::kCpIndex, 0, false}},
 };
 
-const std::unordered_map<uint8_t, const OpInfo*>& Table() {
-  static const auto* map = [] {
-    auto* m = new std::unordered_map<uint8_t, const OpInfo*>();
-    for (const auto& e : kTable) {
-      (*m)[static_cast<uint8_t>(e.op)] = &e.info;
+constexpr OpTable BuildOpTable() {
+  OpTable t{};
+  t.length.fill(-1);
+  for (const auto& e : kTable) {
+    uint8_t raw = static_cast<uint8_t>(e.op);
+    t.info[raw] = &e.info;
+    switch (e.info.operands) {
+      case OperandKind::kNone:
+        t.length[raw] = 1;
+        break;
+      case OperandKind::kI8:
+      case OperandKind::kU8:
+      case OperandKind::kArrayKind:
+        t.length[raw] = 2;
+        break;
+      case OperandKind::kI16:
+      case OperandKind::kCpIndex:
+      case OperandKind::kBranch16:
+      case OperandKind::kLocalIncr:
+        t.length[raw] = 3;
+        break;
     }
-    return m;
-  }();
-  return *map;
+  }
+  return t;
 }
 
 }  // namespace
 
-const OpInfo* GetOpInfo(Op op) {
-  auto it = Table().find(static_cast<uint8_t>(op));
-  return it == Table().end() ? nullptr : it->second;
-}
-
-int InstructionLength(Op op) {
-  const OpInfo* info = GetOpInfo(op);
-  if (info == nullptr) {
-    return -1;
-  }
-  switch (info->operands) {
-    case OperandKind::kNone:
-      return 1;
-    case OperandKind::kI8:
-    case OperandKind::kU8:
-    case OperandKind::kArrayKind:
-      return 2;
-    case OperandKind::kI16:
-    case OperandKind::kCpIndex:
-    case OperandKind::kBranch16:
-    case OperandKind::kLocalIncr:
-      return 3;
-  }
-  return -1;
-}
-
-bool IsBranch(Op op) {
-  const OpInfo* info = GetOpInfo(op);
-  return info != nullptr && info->operands == OperandKind::kBranch16;
-}
+constinit const OpTable kOpTable = BuildOpTable();
 
 bool IsConditionalBranch(Op op) { return IsBranch(op) && op != Op::kGoto; }
-
-bool IsReturn(Op op) {
-  return op == Op::kIreturn || op == Op::kLreturn || op == Op::kAreturn || op == Op::kReturn;
-}
-
-bool IsTerminator(Op op) { return IsReturn(op) || op == Op::kGoto || op == Op::kAthrow; }
 
 bool IsInvoke(Op op) {
   return op == Op::kInvokevirtual || op == Op::kInvokespecial || op == Op::kInvokestatic;
@@ -173,12 +151,6 @@ bool IsInvoke(Op op) {
 bool IsFieldAccess(Op op) {
   return op == Op::kGetfield || op == Op::kPutfield || op == Op::kGetstatic ||
          op == Op::kPutstatic;
-}
-
-bool IsQuickOp(Op op) {
-  uint8_t raw = static_cast<uint8_t>(op);
-  return raw >= static_cast<uint8_t>(Op::kLdcQuick) &&
-         raw <= static_cast<uint8_t>(Op::kInstanceofQuick);
 }
 
 }  // namespace dvm

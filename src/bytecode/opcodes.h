@@ -7,6 +7,7 @@
 #ifndef SRC_BYTECODE_OPCODES_H_
 #define SRC_BYTECODE_OPCODES_H_
 
+#include <array>
 #include <cstdint>
 #include <string_view>
 
@@ -155,23 +156,38 @@ struct OpInfo {
 
 constexpr int kVariableStack = 127;
 
+// Per-byte opcode metadata, indexed by the raw opcode byte: `info` is nullptr
+// and `length` -1 for a byte that is not a defined opcode. A constant table, so
+// the queries below are array reads with no lookup or lazy initialization.
+struct OpTable {
+  std::array<const OpInfo*, 256> info;
+  std::array<int8_t, 256> length;
+};
+extern const OpTable kOpTable;
+
 // Returns metadata for an opcode, or nullptr if the byte is not a valid opcode.
-const OpInfo* GetOpInfo(Op op);
-inline const OpInfo* GetOpInfo(uint8_t raw) { return GetOpInfo(static_cast<Op>(raw)); }
+inline const OpInfo* GetOpInfo(Op op) { return kOpTable.info[static_cast<uint8_t>(op)]; }
+inline const OpInfo* GetOpInfo(uint8_t raw) { return kOpTable.info[raw]; }
 
-// Length in bytes of an encoded instruction (opcode + operands).
-int InstructionLength(Op op);
+// Length in bytes of an encoded instruction (opcode + operands), or -1 if the
+// byte is not a valid opcode.
+inline int InstructionLength(Op op) { return kOpTable.length[static_cast<uint8_t>(op)]; }
 
-bool IsBranch(Op op);
+inline bool IsBranch(Op op) {
+  const OpInfo* info = GetOpInfo(op);
+  return info != nullptr && info->operands == OperandKind::kBranch16;
+}
 bool IsConditionalBranch(Op op);
-bool IsReturn(Op op);
+inline bool IsReturn(Op op) {
+  return op == Op::kIreturn || op == Op::kLreturn || op == Op::kAreturn || op == Op::kReturn;
+}
 // True when control cannot fall through to the next instruction.
-bool IsTerminator(Op op);
+inline bool IsTerminator(Op op) { return IsReturn(op) || op == Op::kGoto || op == Op::kAthrow; }
 bool IsInvoke(Op op);
 bool IsFieldAccess(Op op);
 // True for the runtime-internal quick forms (0xd3..0xde). Quick opcodes must
 // never appear in on-the-wire class files.
-bool IsQuickOp(Op op);
+inline bool IsQuickOp(Op op) { return op >= Op::kLdcQuick && op <= Op::kInstanceofQuick; }
 inline bool IsQuickOp(uint8_t raw) { return IsQuickOp(static_cast<Op>(raw)); }
 
 }  // namespace dvm

@@ -1,5 +1,9 @@
 #include "src/bytecode/stack_effect.h"
 
+#include <algorithm>
+#include <deque>
+#include <string>
+
 #include "src/bytecode/descriptor.h"
 
 namespace dvm {
@@ -132,6 +136,57 @@ Result<int> StackPops(const Instr& instr, const ConstantPool& pool) {
     return e.pops;
   }
   return FixedPops(instr.op);
+}
+
+Result<uint16_t> ComputeMaxStackDepth(const std::vector<Instr>& instrs,
+                                      const ConstantPool& pool,
+                                      const std::vector<uint32_t>& handler_entries) {
+  if (instrs.empty()) {
+    return static_cast<uint16_t>(0);
+  }
+  // Depths must agree at merge points for well-formed code; this takes the
+  // max and leaves conflicts to the verifier.
+  std::vector<int> depth_at(instrs.size(), -1);
+  std::deque<size_t> work;
+  auto schedule = [&](size_t index, int depth) {
+    if (index >= instrs.size()) {
+      return;
+    }
+    if (depth_at[index] < depth) {
+      depth_at[index] = depth;
+      work.push_back(index);
+    }
+  };
+  schedule(0, 0);
+  for (uint32_t entry : handler_entries) {
+    schedule(entry, 1);
+  }
+
+  int max_depth = 0;
+  while (!work.empty()) {
+    size_t index = work.front();
+    work.pop_front();
+    int depth = depth_at[index];
+    const Instr& instr = instrs[index];
+    DVM_ASSIGN_OR_RETURN(int delta, StackDelta(instr, pool));
+    DVM_ASSIGN_OR_RETURN(int pops, StackPops(instr, pool));
+    if (depth < pops) {
+      return Error{ErrorCode::kInvalidArgument,
+                   "stack underflow at instruction " + std::to_string(index)};
+    }
+    int next = depth + delta;
+    if (next > 0xFFFF) {
+      return Error{ErrorCode::kCapacity, "max stack exceeds 65535"};
+    }
+    max_depth = std::max(max_depth, std::max(depth, next));
+    if (IsBranch(instr.op)) {
+      schedule(static_cast<size_t>(instr.a), next);
+    }
+    if (!IsTerminator(instr.op)) {
+      schedule(index + 1, next);
+    }
+  }
+  return static_cast<uint16_t>(max_depth);
 }
 
 }  // namespace dvm

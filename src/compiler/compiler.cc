@@ -145,7 +145,8 @@ Result<FilterOutcome> CompilerFilter::Apply(ClassFile& cls, const FilterContext&
     if (!method.code.has_value()) {
       continue;
     }
-    DVM_ASSIGN_OR_RETURN(std::vector<Instr> code, DecodeCode(method.code->code));
+    DVM_ASSIGN_OR_RETURN(DecodedCode decoded, DecodeCode(method.code->code));
+    std::vector<Instr>& code = decoded.instrs;
     DVM_ASSIGN_OR_RETURN(bool changed, PeepholeOptimize(&code, cls.pool(), &stats_));
     stats_.methods_compiled++;
     outcome.checks_performed += code.size();
@@ -170,8 +171,8 @@ Result<FilterOutcome> CompilerFilter::Apply(ClassFile& cls, const FilterContext&
       if (!method.code.has_value() || hot->second.count(method.Id()) == 0) {
         continue;
       }
-      DVM_ASSIGN_OR_RETURN(std::vector<Instr> code, DecodeCode(method.code->code));
-      auto tiered = BaselineCompile(code, cls.pool(), method.code->max_stack,
+      DVM_ASSIGN_OR_RETURN(DecodedCode decoded, DecodeCode(method.code->code));
+      auto tiered = BaselineCompile(decoded.instrs, cls.pool(), method.code->max_stack,
                                     method.code->max_locals);
       if (tiered == nullptr) {
         stats_.tier_refusals++;

@@ -4,6 +4,7 @@
 #include "src/bytecode/code.h"
 #include "src/bytecode/descriptor.h"
 #include "src/bytecode/serializer.h"
+#include "src/bytecode/stack_effect.h"
 #include "src/rewrite/method_editor.h"
 #include "src/runtime/syslib.h"
 
@@ -108,7 +109,8 @@ bool TransferProfile::HasDataFor(const std::string& class_name) const {
 }
 
 Result<Bytes> TranspileCode(const Bytes& code, const ConstantPool& from, ConstantPool& to) {
-  DVM_ASSIGN_OR_RETURN(std::vector<Instr> instrs, DecodeCode(code));
+  DVM_ASSIGN_OR_RETURN(DecodedCode decoded, DecodeCode(code));
+  std::vector<Instr>& instrs = decoded.instrs;
   for (auto& instr : instrs) {
     const OpInfo* info = GetOpInfo(instr.op);
     if (info != nullptr && info->operands == OperandKind::kCpIndex) {

@@ -90,7 +90,8 @@ Result<FilterOutcome> SyncElideFilter::Apply(ClassFile& cls, const FilterContext
       continue;
     }
     stats_.methods_analyzed++;
-    DVM_ASSIGN_OR_RETURN(std::vector<Instr> code, DecodeCode(method.code->code));
+    DVM_ASSIGN_OR_RETURN(DecodedCode decoded, DecodeCode(method.code->code));
+    std::vector<Instr>& code = decoded.instrs;
     for (const auto& instr : code) {
       if (instr.op == Op::kMonitorenter) {
         stats_.monitors_seen++;

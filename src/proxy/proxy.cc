@@ -448,12 +448,12 @@ bool DvmProxy::ValidateTieredBlobs(const CommitRecord& record) {
       if (method == nullptr) {
         return false;
       }
-      Result<std::vector<Instr>> code = DecodeCode(method->code->code);
+      Result<DecodedCode> code = DecodeCode(method->code->code);
       if (!code.ok()) {
         return false;
       }
       std::unique_ptr<TieredMethod> tiered =
-          BaselineCompile(code.value(), cls.pool(), method->code->max_stack,
+          BaselineCompile(code->instrs, cls.pool(), method->code->max_stack,
                           method->code->max_locals);
       if (tiered == nullptr) {
         return false;

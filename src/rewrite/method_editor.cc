@@ -1,59 +1,8 @@
 #include "src/rewrite/method_editor.h"
 
-#include <deque>
-
 #include "src/bytecode/stack_effect.h"
 
 namespace dvm {
-
-Result<uint16_t> ComputeMaxStackDepth(const std::vector<Instr>& instrs,
-                                      const ConstantPool& pool,
-                                      const std::vector<uint32_t>& handler_entries) {
-  if (instrs.empty()) {
-    return static_cast<uint16_t>(0);
-  }
-  std::vector<int> depth_at(instrs.size(), -1);
-  std::deque<size_t> work;
-  auto schedule = [&](size_t index, int depth) {
-    if (index >= instrs.size()) {
-      return;
-    }
-    if (depth_at[index] < depth) {
-      depth_at[index] = depth;
-      work.push_back(index);
-    }
-  };
-  schedule(0, 0);
-  for (uint32_t entry : handler_entries) {
-    schedule(entry, 1);
-  }
-
-  int max_depth = 0;
-  while (!work.empty()) {
-    size_t index = work.front();
-    work.pop_front();
-    int depth = depth_at[index];
-    const Instr& instr = instrs[index];
-    DVM_ASSIGN_OR_RETURN(int delta, StackDelta(instr, pool));
-    DVM_ASSIGN_OR_RETURN(int pops, StackPops(instr, pool));
-    if (depth < pops) {
-      return Error{ErrorCode::kInvalidArgument,
-                   "rewritten code underflows stack at instruction " + std::to_string(index)};
-    }
-    int next = depth + delta;
-    max_depth = std::max(max_depth, std::max(depth, next));
-    if (IsBranch(instr.op)) {
-      schedule(static_cast<size_t>(instr.a), next);
-    }
-    if (!IsTerminator(instr.op)) {
-      schedule(index + 1, next);
-    }
-  }
-  if (max_depth > 0xFFFF) {
-    return Error{ErrorCode::kCapacity, "max stack exceeds 65535"};
-  }
-  return static_cast<uint16_t>(max_depth);
-}
 
 Result<MethodEditor> MethodEditor::Open(ClassFile* cls, MethodInfo* method) {
   if (!method->code.has_value()) {
@@ -61,21 +10,12 @@ Result<MethodEditor> MethodEditor::Open(ClassFile* cls, MethodInfo* method) {
                  "cannot edit bodyless method " + method->Id()};
   }
   MethodEditor editor(cls, method);
-  DVM_ASSIGN_OR_RETURN(editor.code_, DecodeCode(method->code->code));
+  DVM_ASSIGN_OR_RETURN(DecodedCode decoded, DecodeCode(method->code->code));
 
-  std::vector<uint32_t> offsets = CodeByteOffsets(editor.code_);
-  auto index_of = [&offsets](uint16_t byte_pc) -> int64_t {
-    for (size_t i = 0; i < offsets.size(); i++) {
-      if (offsets[i] == byte_pc) {
-        return static_cast<int64_t>(i);
-      }
-    }
-    return -1;
-  };
   for (const auto& h : method->code->handlers) {
-    int64_t start = index_of(h.start_pc);
-    int64_t end = index_of(h.end_pc);
-    int64_t handler = index_of(h.handler_pc);
+    int32_t start = decoded.IndexAt(h.start_pc);
+    int32_t end = decoded.IndexAt(h.end_pc);
+    int32_t handler = decoded.IndexAt(h.handler_pc);
     if (start < 0 || end < 0 || handler < 0) {
       return Error{ErrorCode::kParseError,
                    "handler not on instruction boundary in " + method->Id()};
@@ -84,6 +24,7 @@ Result<MethodEditor> MethodEditor::Open(ClassFile* cls, MethodInfo* method) {
                                          static_cast<uint32_t>(end),
                                          static_cast<uint32_t>(handler), h.catch_type});
   }
+  editor.code_ = std::move(decoded.instrs);
   return editor;
 }
 

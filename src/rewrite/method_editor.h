@@ -59,13 +59,6 @@ class MethodEditor {
   bool modified_ = false;
 };
 
-// Worklist-based max-stack computation shared by the editor and tests.
-// `handler_entries` are instruction indices that start with one reference on
-// the stack (exception handler entry points).
-Result<uint16_t> ComputeMaxStackDepth(const std::vector<Instr>& instrs,
-                                      const ConstantPool& pool,
-                                      const std::vector<uint32_t>& handler_entries);
-
 }  // namespace dvm
 
 #endif  // SRC_REWRITE_METHOD_EDITOR_H_

@@ -89,22 +89,14 @@ Result<PreparedMethod*> Interpreter::Prepare(RuntimeClass* cls, const MethodInfo
   auto prepared = std::make_unique<PreparedMethod>();
   prepared->method = method;
   prepared->compiled = cls->file.FindAttribute(kAttrCompiledStamp) != nullptr;
-  DVM_ASSIGN_OR_RETURN(prepared->code, DecodeCode(method->code->code));
+  DVM_ASSIGN_OR_RETURN(DecodedCode decoded, DecodeCode(method->code->code));
+  prepared->code = std::move(decoded.instrs);
   prepared->cache.resize(prepared->code.size());
 
-  std::vector<uint32_t> offsets = CodeByteOffsets(prepared->code);
-  auto index_of = [&offsets](uint16_t byte_pc) -> int64_t {
-    for (size_t i = 0; i < offsets.size(); i++) {
-      if (offsets[i] == byte_pc) {
-        return static_cast<int64_t>(i);
-      }
-    }
-    return -1;
-  };
   for (const auto& h : method->code->handlers) {
-    int64_t start = index_of(h.start_pc);
-    int64_t end = index_of(h.end_pc);
-    int64_t handler = index_of(h.handler_pc);
+    int32_t start = decoded.IndexAt(h.start_pc);
+    int32_t end = decoded.IndexAt(h.end_pc);
+    int32_t handler = decoded.IndexAt(h.handler_pc);
     if (start < 0 || end < 0 || handler < 0) {
       return HostErr("exception handler not on instruction boundary in " + method->Id());
     }

@@ -1,6 +1,7 @@
 #include "src/services/security_service.h"
 
 #include "src/bytecode/descriptor.h"
+#include "src/bytecode/stack_effect.h"
 #include "src/policy/xml.h"
 #include "src/rewrite/method_editor.h"
 #include "src/runtime/syslib.h"

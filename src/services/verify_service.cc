@@ -4,6 +4,7 @@
 
 #include "src/bytecode/builder.h"
 #include "src/bytecode/descriptor.h"
+#include "src/bytecode/stack_effect.h"
 #include "src/rewrite/method_editor.h"
 #include "src/runtime/syslib.h"
 #include "src/verifier/link_checker.h"

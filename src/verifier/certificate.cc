@@ -1,6 +1,6 @@
 #include "src/verifier/certificate.h"
 
-#include <optional>
+#include <span>
 
 #include "src/verifier/dataflow.h"
 
@@ -18,7 +18,7 @@ void WriteVType(ByteWriter& w, const VType& t) {
   // Only reference-like kinds carry a payload; writing nothing for the rest
   // keeps the encoding canonical (one byte string for every frame).
   if (t.kind == VType::Kind::kRef || t.kind == VType::Kind::kUninit) {
-    w.Str(t.name);
+    w.Str(t.name());
   }
   if (t.kind == VType::Kind::kUninit) {
     w.I32(t.site);
@@ -33,10 +33,11 @@ Result<VType> ReadVType(ByteReader& r) {
   VType t;
   t.kind = static_cast<VType::Kind>(raw_kind);
   if (t.kind == VType::Kind::kRef || t.kind == VType::Kind::kUninit) {
-    DVM_ASSIGN_OR_RETURN(t.name, r.Str());
-    if (t.name.empty()) {
+    DVM_ASSIGN_OR_RETURN(std::string name, r.Str());
+    if (name.empty()) {
       return Perr("certificate reference type without a class name");
     }
+    t.sym = InternSymbol(name);
   }
   if (t.kind == VType::Kind::kUninit) {
     DVM_ASSIGN_OR_RETURN(t.site, r.I32());
@@ -67,7 +68,7 @@ Result<Frame> ReadFrame(ByteReader& r) {
   frame.locals.reserve(locals);
   for (uint32_t i = 0; i < locals; i++) {
     DVM_ASSIGN_OR_RETURN(VType t, ReadVType(r));
-    frame.locals.push_back(std::move(t));
+    frame.locals.push_back(t);
   }
   DVM_ASSIGN_OR_RETURN(uint32_t stack, r.U32());
   if (stack > r.remaining()) {
@@ -76,7 +77,7 @@ Result<Frame> ReadFrame(ByteReader& r) {
   frame.stack.reserve(stack);
   for (uint32_t i = 0; i < stack; i++) {
     DVM_ASSIGN_OR_RETURN(VType t, ReadVType(r));
-    frame.stack.push_back(std::move(t));
+    frame.stack.push_back(t);
   }
   return frame;
 }
@@ -193,22 +194,33 @@ namespace {
 // into the next instruction; every control-flow edge is checked at its source
 // against the certificate's assertion for the target, and folded into a
 // shadow join that must land exactly on the asserted frame.
-Status ValidateMethod(const ClassFile& cls, const MethodInfo& method, const MethodCode& mc,
-                      const ClassEnv& env, const MethodCertificate& mcert,
+Status ValidateMethod(const ClassFile& cls, const MethodInfo& method, const DecodedCode& mc,
+                      const ClassEnv& env, const ResolvedPool& pool,
+                      const MethodCertificate& mcert, DataflowScratch& scratch,
                       ValidateStats* stats, std::vector<Assumption>* assumptions) {
   const size_t count = mc.instrs.size();
-  std::vector<const Frame*> asserted(count, nullptr);
+  std::vector<const Frame*>& asserted = scratch.asserted;
+  asserted.assign(count, nullptr);
   for (const FrameAssertion& assertion : mcert.assertions) {
     stats->validate_checks++;
     if (assertion.index >= count || asserted[assertion.index] != nullptr) {
       return Verr(cls.name() + "." + method.Id() + ": certificate assertion @" +
                   std::to_string(assertion.index) + " out of range or duplicated");
     }
+    // The pass below adopts an assertion unreached by fall-through before
+    // any edge is checked against it; local accesses index its locals.
+    if (assertion.frame.locals.size() != method.code->max_locals) {
+      return Verr(cls.name() + "." + method.Id() + ": certificate assertion @" +
+                  std::to_string(assertion.index) + " has " +
+                  std::to_string(assertion.frame.locals.size()) + " locals, not " +
+                  std::to_string(method.code->max_locals));
+    }
     asserted[assertion.index] = &assertion.frame;
   }
 
-  AbstractInterpreter interp(cls, method, mc, env, &stats->validate_checks, assumptions);
-  std::vector<std::optional<Frame>> shadow(count);
+  AbstractInterpreter interp(cls, method, mc, env, pool, &stats->validate_checks, assumptions);
+  FrameTable& shadow = scratch.frames;
+  shadow.Reset(count);
 
   auto fold = [&](size_t target, const Frame& frame) -> Status {
     stats->validate_checks++;
@@ -221,16 +233,18 @@ Status ValidateMethod(const ClassFile& cls, const MethodInfo& method, const Meth
       return Verr(cls.name() + "." + method.Id() + ": edge frame does not fit certificate "
                   "assertion @" + std::to_string(target));
     }
-    if (!shadow[target].has_value()) {
-      shadow[target] = frame;
+    if (!shadow.has(target)) {
+      shadow.Set(target, frame);
     } else {
       bool changed = false;
-      MergeFrames(*shadow[target], frame, env, &changed);
+      MergeFrames(shadow[target], frame, env, &changed);
     }
     return Status::Ok();
   };
 
-  Frame current = interp.EntryFrame();
+  // Stepped in place; while `live` is false it is stale and never read.
+  Frame& current = scratch.work;
+  current = interp.EntryFrame();
   bool live = true;
   for (size_t i = 0; i < count; i++) {
     if (asserted[i] != nullptr) {
@@ -247,22 +261,16 @@ Status ValidateMethod(const ClassFile& cls, const MethodInfo& method, const Meth
       continue;  // unreachable and unasserted — the verifier never looked at it
     }
     stats->instructions_validated++;
-    DVM_ASSIGN_OR_RETURN(std::vector<AbstractInterpreter::HandlerEdge> handler_edges,
+    DVM_ASSIGN_OR_RETURN(std::span<const AbstractInterpreter::HandlerEdge> handler_edges,
                          interp.HandlerEdges(i, current));
     for (const auto& edge : handler_edges) {
       DVM_RETURN_IF_ERROR(fold(edge.target, edge.frame));
     }
-    DVM_ASSIGN_OR_RETURN(AbstractInterpreter::StepResult out,
-                         interp.Step(i, std::move(current)));
+    DVM_ASSIGN_OR_RETURN(AbstractInterpreter::StepResult out, interp.Step(i, current));
     if (out.branch_target.has_value()) {
-      DVM_RETURN_IF_ERROR(fold(*out.branch_target, out.frame));
+      DVM_RETURN_IF_ERROR(fold(*out.branch_target, current));
     }
-    if (out.fallthrough) {
-      current = std::move(out.frame);
-    } else {
-      current = Frame{};
-      live = false;
-    }
+    live = out.fallthrough;
   }
 
   for (size_t i = 0; i < count; i++) {
@@ -270,11 +278,11 @@ Status ValidateMethod(const ClassFile& cls, const MethodInfo& method, const Meth
       continue;
     }
     stats->validate_checks++;
-    if (!shadow[i].has_value()) {
+    if (!shadow.has(i)) {
       return Verr(cls.name() + "." + method.Id() + ": certificate assertion @" +
                   std::to_string(i) + " is justified by no control-flow edge");
     }
-    if (!(*shadow[i] == *asserted[i])) {
+    if (!(shadow[i] == *asserted[i])) {
       return Verr(cls.name() + "." + method.Id() + ": certificate assertion @" +
                   std::to_string(i) + " is not the exact join of its incoming edges");
     }
@@ -297,6 +305,8 @@ Status ValidateCertificate(const ClassFile& cls, const ClassEnv& env,
   DVM_RETURN_IF_ERROR(
       CheckSuperclass(cls, env, &stats->verify.phase1_checks, &derived));
 
+  ResolvedPool pool(cls);
+  ScratchLease scratch;
   size_t next_method = 0;
   for (const auto& method : cls.methods) {
     if (!method.code.has_value()) {
@@ -307,9 +317,9 @@ Status ValidateCertificate(const ClassFile& cls, const ClassEnv& env,
         cert.methods[next_method].method_id != method.Id()) {
       return Verr(cls.name() + ": certificate method list does not match class");
     }
-    DVM_ASSIGN_OR_RETURN(MethodCode mc, Phase2(cls, method, &stats->verify));
-    DVM_RETURN_IF_ERROR(ValidateMethod(cls, method, mc, env, cert.methods[next_method],
-                                       stats, &derived));
+    DVM_ASSIGN_OR_RETURN(DecodedCode mc, Phase2(cls, method, &stats->verify));
+    DVM_RETURN_IF_ERROR(ValidateMethod(cls, method, mc, env, pool, cert.methods[next_method],
+                                       *scratch, stats, &derived));
     next_method++;
   }
   stats->validate_checks++;

@@ -10,13 +10,27 @@ constexpr const char* kThrowable = "java/lang/Throwable";
 
 Error Verr(const std::string& message) { return Error{ErrorCode::kVerifyError, message}; }
 
+// Types the transfer function produces without consulting the pool.
+struct KnownTypes {
+  VType object = VType::Ref(kObject);
+  VType string = VType::Ref("java/lang/String");
+  VType throwable = VType::Ref(kThrowable);
+  VType int_array = VType::Ref("[I");
+  VType long_array = VType::Ref("[J");
+};
+
+const KnownTypes& Known() {
+  static const KnownTypes known;
+  return known;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Phase 2: instruction integrity.
 // ---------------------------------------------------------------------------
 
-Result<MethodCode> Phase2(const ClassFile& cls, const MethodInfo& method, VerifyStats* stats) {
+Result<DecodedCode> Phase2(const ClassFile& cls, const MethodInfo& method, VerifyStats* stats) {
   const CodeAttr& code = *method.code;
   auto check = [&stats] { stats->phase2_checks++; };
 
@@ -41,14 +55,9 @@ Result<MethodCode> Phase2(const ClassFile& cls, const MethodInfo& method, Verify
 
   // DecodeCode performs opcode validity, truncation and branch-boundary checks.
   check();
-  DVM_ASSIGN_OR_RETURN(std::vector<Instr> instrs, DecodeCode(code.code));
+  DVM_ASSIGN_OR_RETURN(DecodedCode mc, DecodeCode(code.code));
+  const std::vector<Instr>& instrs = mc.instrs;
   stats->instructions_verified += instrs.size();
-
-  MethodCode mc;
-  mc.offsets = CodeByteOffsets(instrs);
-  for (size_t i = 0; i < instrs.size(); i++) {
-    mc.off_to_ix[mc.offsets[i]] = static_cast<uint32_t>(i);
-  }
 
   const ConstantPool& pool = cls.pool();
   for (size_t i = 0; i < instrs.size(); i++) {
@@ -100,10 +109,15 @@ Result<MethodCode> Phase2(const ClassFile& cls, const MethodInfo& method, Verify
     }
   }
 
+  // start_pc and handler_pc must start an instruction; end_pc may also be
+  // the code length, where IndexAt answers instrs.size().
+  auto starts_instr = [&mc](uint32_t pc) {
+    int32_t ix = mc.IndexAt(pc);
+    return ix >= 0 && static_cast<size_t>(ix) < mc.instrs.size();
+  };
   for (const auto& h : code.handlers) {
     check();
-    if (!mc.off_to_ix.count(h.start_pc) || !mc.off_to_ix.count(h.handler_pc) ||
-        (h.end_pc != mc.offsets.back() && !mc.off_to_ix.count(h.end_pc)) ||
+    if (!starts_instr(h.start_pc) || !starts_instr(h.handler_pc) || mc.IndexAt(h.end_pc) < 0 ||
         h.start_pc >= h.end_pc) {
       return Verr("exception handler has invalid code range in " + method.Id());
     }
@@ -113,7 +127,6 @@ Result<MethodCode> Phase2(const ClassFile& cls, const MethodInfo& method, Verify
     }
   }
 
-  mc.instrs = std::move(instrs);
   return mc;
 }
 
@@ -141,16 +154,92 @@ Status CheckSuperclass(const ClassFile& cls, const ClassEnv& env, uint64_t* chec
 // Phase 3: the abstract transfer function.
 // ---------------------------------------------------------------------------
 
+ResolvedPool::ResolvedPool(const ClassFile& cls) {
+  const ConstantPool& pool = cls.pool();
+  slot_.assign(pool.size(), 0);
+  for (size_t i = 1; i < pool.size(); i++) {
+    uint16_t index = static_cast<uint16_t>(i);
+    if (pool.HasTag(index, CpTag::kClass)) {
+      ClassRef entry;
+      entry.name = pool.ClassNameAt(index).value();
+      entry.type = VType::Ref(entry.name);
+      entry.array_type = VType::Ref("[" + DescriptorFromClassName(entry.name));
+      slot_[i] = static_cast<uint32_t>(classes_.size());
+      classes_.push_back(std::move(entry));
+      continue;
+    }
+    bool field = pool.HasTag(index, CpTag::kFieldRef);
+    if (!field && !pool.HasTag(index, CpTag::kMethodRef)) {
+      continue;
+    }
+    Member entry;
+    entry.ref = field ? pool.FieldRefAt(index).value() : pool.MethodRefAt(index).value();
+    if (field) {
+      entry.type = VType::FromDescriptor(entry.ref.descriptor);
+    } else {
+      entry.sig = ParseMethodDescriptor(entry.ref.descriptor);
+      if (entry.sig.ok()) {
+        for (const std::string& param : entry.sig->params) {
+          entry.params.push_back(VType::FromDescriptor(param));
+        }
+        entry.ret = VType::FromDescriptor(entry.sig->return_type);
+      }
+      entry.is_init = entry.ref.member_name == "<init>";
+    }
+    slot_[i] = static_cast<uint32_t>(members_.size());
+    members_.push_back(std::move(entry));
+  }
+}
+
+VType ResolvedPool::ArrayElement(const VType& array) const {
+  for (const auto& [sym, element] : elements_) {
+    if (sym == array.sym) {
+      return element;
+    }
+  }
+  VType element = VType::FromDescriptor(ArrayElementDescriptor(array.name()));
+  elements_.emplace_back(array.sym, element);
+  return element;
+}
+
+size_t FrameTable::Capacity() const {
+  size_t slots = 0;
+  for (const Frame& frame : frames_) {
+    slots += frame.locals.capacity() + frame.stack.capacity();
+  }
+  return slots;
+}
+
+namespace {
+
+DataflowScratch& ThreadScratch() {
+  thread_local DataflowScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
+ScratchLease::ScratchLease() : scratch_(ThreadScratch()) {}
+
+ScratchLease::~ScratchLease() {
+  if (scratch_.frames.Capacity() > kRetainedSlots) {
+    scratch_ = DataflowScratch{};
+  }
+}
+
 AbstractInterpreter::AbstractInterpreter(const ClassFile& cls, const MethodInfo& method,
-                                         const MethodCode& mc, const ClassEnv& env,
-                                         uint64_t* checks, std::vector<Assumption>* assumptions)
-    : cls_(cls), method_(method), mc_(mc), env_(env), checks_(checks),
+                                         const DecodedCode& mc, const ClassEnv& env,
+                                         const ResolvedPool& pool, uint64_t* checks,
+                                         std::vector<Assumption>* assumptions)
+    : cls_(cls), method_(method), mc_(mc), env_(env), pool_(pool), checks_(checks),
       assumptions_(assumptions),
       // Phase 2 already rejected malformed descriptors.
-      sig_(ParseMethodDescriptor(method.descriptor).value()) {}
+      sig_(ParseMethodDescriptor(method.descriptor).value()),
+      return_type_(VType::FromDescriptor(sig_.return_type)),
+      method_id_(method.Id()) {}
 
 void AbstractInterpreter::Assume(Assumption a) {
-  a.method_id = method_.Id();
+  a.method_id = method_id_;
   assumptions_->push_back(std::move(a));
 }
 
@@ -163,7 +252,7 @@ void AbstractInterpreter::AssumeClass(const std::string& class_name) {
 }
 
 Error AbstractInterpreter::Fail(size_t index, const std::string& message) const {
-  return Verr(cls_.name() + "." + method_.Id() + " @" + std::to_string(index) + ": " + message);
+  return Verr(cls_.name() + "." + method_id_ + " @" + std::to_string(index) + ": " + message);
 }
 
 Result<VType> AbstractInterpreter::Pop(Frame& frame, size_t index) {
@@ -192,14 +281,14 @@ Status AbstractInterpreter::PopRefLike(Frame& frame, size_t index, VType* out) {
   if (!t.IsRefLike()) {
     return Fail(index, "expected reference, found " + t.ToString());
   }
-  *out = std::move(t);
+  *out = t;
   return Status::Ok();
 }
 
-Status AbstractInterpreter::PopAssignable(Frame& frame, size_t index, const std::string& desc) {
+Status AbstractInterpreter::PopAssignable(Frame& frame, size_t index, const VType& want,
+                                          const std::string& desc) {
   DVM_ASSIGN_OR_RETURN(VType t, Pop(frame, index));
   Check();
-  VType want = VType::FromDescriptor(desc);
   switch (want.kind) {
     case VType::Kind::kInt:
     case VType::Kind::kLong:
@@ -209,19 +298,19 @@ Status AbstractInterpreter::PopAssignable(Frame& frame, size_t index, const std:
       return Status::Ok();
     case VType::Kind::kRef: {
       if (!t.IsRefLike()) {
-        return Fail(index, "expected reference " + want.name + ", found " + t.ToString());
+        return Fail(index, "expected reference " + want.name() + ", found " + t.ToString());
       }
-      switch (IsAssignable(t, want.name, env_)) {
+      switch (IsAssignable(t, want.name(), env_)) {
         case Assignability::kYes:
           return Status::Ok();
         case Assignability::kNo:
-          return Fail(index, t.ToString() + " is not assignable to " + want.name);
+          return Fail(index, t.ToString() + " is not assignable to " + want.name());
         case Assignability::kUnknown: {
           Assumption a;
           a.kind = AssumptionKind::kAssignable;
           a.scope = AssumptionScope::kMethod;
-          a.target_class = t.name;
-          a.expected_class = want.name;
+          a.target_class = t.name();
+          a.expected_class = want.name();
           Assume(std::move(a));
           return Status::Ok();
         }
@@ -239,7 +328,7 @@ Status AbstractInterpreter::Push(Frame& frame, size_t index, VType t) {
     return Fail(index, "operand stack overflow (max_stack=" +
                            std::to_string(method_.code->max_stack) + ")");
   }
-  frame.stack.push_back(std::move(t));
+  frame.stack.push_back(t);
   return Status::Ok();
 }
 
@@ -254,7 +343,9 @@ Result<VType> AbstractInterpreter::GetLocal(const Frame& frame, size_t index, in
   return t;
 }
 
-Status AbstractInterpreter::ResolveField(size_t index, const MemberRef& ref, bool want_static) {
+Status AbstractInterpreter::ResolveField(size_t index, const ResolvedPool::Member& field,
+                                         bool want_static) {
+  const MemberRef& ref = field.ref;
   Check();
   const ClassFile* target = env_.Lookup(ref.class_name);
   if (target == nullptr) {
@@ -273,14 +364,14 @@ Status AbstractInterpreter::ResolveField(size_t index, const MemberRef& ref, boo
   visited.insert(ref.class_name);
   const ClassFile* current = target;
   while (current != nullptr) {
-    const FieldInfo* field = current->FindField(ref.member_name);
-    if (field != nullptr) {
+    const FieldInfo* found = current->FindField(ref.member_name);
+    if (found != nullptr) {
       Check();
-      if (field->descriptor != ref.descriptor) {
-        return Fail(index, "field " + ref.ToString() + " has descriptor " + field->descriptor);
+      if (found->descriptor != ref.descriptor) {
+        return Fail(index, "field " + ref.ToString() + " has descriptor " + found->descriptor);
       }
       Check();
-      if (field->IsStatic() != want_static) {
+      if (found->IsStatic() != want_static) {
         return Fail(index, "field " + ref.ToString() +
                                (want_static ? " is not static" : " is static"));
       }
@@ -306,7 +397,9 @@ Status AbstractInterpreter::ResolveField(size_t index, const MemberRef& ref, boo
   return Status::Ok();
 }
 
-Status AbstractInterpreter::ResolveMethod(size_t index, const MemberRef& ref, Op op) {
+Status AbstractInterpreter::ResolveMethod(size_t index, const ResolvedPool::Member& method,
+                                          Op op) {
+  const MemberRef& ref = method.ref;
   Check();
   const ClassFile* target = env_.Lookup(ref.class_name);
   if (target == nullptr) {
@@ -365,9 +458,9 @@ Frame AbstractInterpreter::EntryFrame() const {
   return frame;
 }
 
-Result<std::vector<AbstractInterpreter::HandlerEdge>> AbstractInterpreter::HandlerEdges(
+Result<std::span<const AbstractInterpreter::HandlerEdge>> AbstractInterpreter::HandlerEdges(
     size_t index, const Frame& frame) {
-  std::vector<HandlerEdge> edges;
+  size_t count = 0;
   uint32_t offset = mc_.offsets[index];
   for (const auto& h : method_.code->handlers) {
     if (offset < h.start_pc || offset >= h.end_pc) {
@@ -381,45 +474,46 @@ Result<std::vector<AbstractInterpreter::HandlerEdge>> AbstractInterpreter::Handl
       return Fail(index, "exception handler needs stack room for the thrown reference "
                          "(max_stack=0)");
     }
-    std::string catch_class = kThrowable;
-    if (h.catch_type != 0) {
-      auto name = cls_.pool().ClassNameAt(h.catch_type);
-      if (name.ok()) {
-        catch_class = name.value();
-      }
-    }
+    // Phase 2 checked the catch type's tag.
+    const ResolvedPool::ClassRef* catch_ref =
+        h.catch_type != 0 ? &pool_.class_ref(h.catch_type) : nullptr;
+    VType caught = catch_ref != nullptr ? catch_ref->type : Known().throwable;
     // A catch type that provably isn't a Throwable can never be thrown; the
     // handler entry state it would imply is a fiction.
     Check();
-    if (catch_class != kThrowable) {
-      switch (IsAssignable(VType::Ref(catch_class), kThrowable, env_)) {
+    if (catch_ref != nullptr && catch_ref->name != kThrowable) {
+      switch (IsAssignable(caught, kThrowable, env_)) {
         case Assignability::kYes:
           break;
         case Assignability::kNo:
-          return Fail(index, "handler catches non-throwable " + catch_class);
+          return Fail(index, "handler catches non-throwable " + catch_ref->name);
         case Assignability::kUnknown: {
           Assumption a;
           a.kind = AssumptionKind::kAssignable;
           a.scope = AssumptionScope::kMethod;
-          a.target_class = catch_class;
+          a.target_class = catch_ref->name;
           a.expected_class = kThrowable;
           Assume(std::move(a));
           break;
         }
       }
     }
-    HandlerEdge edge;
-    edge.target = mc_.off_to_ix.at(h.handler_pc);
+    // Edge slots are reused from call to call, keeping their vectors.
+    if (count == edges_.size()) {
+      edges_.emplace_back();
+    }
+    HandlerEdge& edge = edges_[count++];
+    edge.target = static_cast<size_t>(mc_.IndexAt(h.handler_pc));  // checked by phase 2
     edge.frame.locals = frame.locals;
-    edge.frame.stack.push_back(VType::Ref(catch_class));
-    edges.push_back(std::move(edge));
+    edge.frame.stack.assign(1, caught);
   }
-  return edges;
+  return std::span<const HandlerEdge>(edges_.data(), count);
 }
 
-Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, Frame frame) {
+Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, Frame& frame) {
   const Instr& instr = mc_.instrs[index];
   const ConstantPool& pool = cls_.pool();
+  const KnownTypes& known = Known();
 
   StepResult out;
   out.fallthrough = !IsTerminator(instr.op);
@@ -446,7 +540,7 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       } else if (pool.HasTag(cp_index, CpTag::kLong)) {
         DVM_RETURN_IF_ERROR(Push(frame, index, VType::Long()));
       } else {
-        DVM_RETURN_IF_ERROR(Push(frame, index, VType::Ref("java/lang/String")));
+        DVM_RETURN_IF_ERROR(Push(frame, index, known.string));
       }
       break;
     }
@@ -491,9 +585,9 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       DVM_RETURN_IF_ERROR(PopKind(frame, index, VType::Kind::kInt, "int index"));
       VType arr;
       DVM_RETURN_IF_ERROR(PopRefLike(frame, index, &arr));
-      const char* want = instr.op == Op::kIaload ? "[I" : "[J";
+      const VType& want = instr.op == Op::kIaload ? known.int_array : known.long_array;
       Check();
-      if (arr.kind == VType::Kind::kRef && arr.name != want) {
+      if (arr.kind == VType::Kind::kRef && arr.sym != want.sym) {
         return Fail(index, "array load type mismatch: " + arr.ToString());
       }
       DVM_RETURN_IF_ERROR(
@@ -505,13 +599,13 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       VType arr;
       DVM_RETURN_IF_ERROR(PopRefLike(frame, index, &arr));
       Check();
-      VType element = VType::Ref(kObject);
+      VType element = known.object;
       if (arr.kind == VType::Kind::kRef) {
-        if (!arr.IsArray() || arr.name.size() < 2 ||
-            (arr.name[1] != 'L' && arr.name[1] != '[')) {
+        const std::string& name = arr.name();
+        if (!arr.IsArray() || name.size() < 2 || (name[1] != 'L' && name[1] != '[')) {
           return Fail(index, "aaload on non-reference array " + arr.ToString());
         }
-        element = VType::FromDescriptor(ArrayElementDescriptor(arr.name));
+        element = pool_.ArrayElement(arr);
       }
       DVM_RETURN_IF_ERROR(Push(frame, index, element));
       break;
@@ -525,9 +619,9 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       DVM_RETURN_IF_ERROR(PopKind(frame, index, VType::Kind::kInt, "int index"));
       VType arr;
       DVM_RETURN_IF_ERROR(PopRefLike(frame, index, &arr));
-      const char* want = instr.op == Op::kIastore ? "[I" : "[J";
+      const VType& want = instr.op == Op::kIastore ? known.int_array : known.long_array;
       Check();
-      if (arr.kind == VType::Kind::kRef && arr.name != want) {
+      if (arr.kind == VType::Kind::kRef && arr.sym != want.sym) {
         return Fail(index, "array store type mismatch: " + arr.ToString());
       }
       break;
@@ -543,18 +637,18 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
         if (!arr.IsArray()) {
           return Fail(index, "aastore on non-array " + arr.ToString());
         }
-        std::string elem_desc = ArrayElementDescriptor(arr.name);
+        std::string elem_desc = ArrayElementDescriptor(arr.name());
         if (elem_desc[0] == 'L') {
           switch (IsAssignable(value, ClassNameFromDescriptor(elem_desc), env_)) {
             case Assignability::kYes:
               break;
             case Assignability::kNo:
-              return Fail(index, value.ToString() + " not storable into " + arr.name);
+              return Fail(index, value.ToString() + " not storable into " + arr.name());
             case Assignability::kUnknown: {
               Assumption a;
               a.kind = AssumptionKind::kAssignable;
               a.scope = AssumptionScope::kMethod;
-              a.target_class = value.name;
+              a.target_class = value.name();
               a.expected_class = ClassNameFromDescriptor(elem_desc);
               Assume(std::move(a));
               break;
@@ -689,7 +783,7 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       if (!IsReferenceDescriptor(sig_.return_type)) {
         return Fail(index, "areturn from method returning " + sig_.return_type);
       }
-      DVM_RETURN_IF_ERROR(PopAssignable(frame, index, sig_.return_type));
+      DVM_RETURN_IF_ERROR(PopAssignable(frame, index, return_type_, sig_.return_type));
       break;
     }
     case Op::kReturn:
@@ -700,47 +794,51 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       break;
     case Op::kGetstatic:
     case Op::kGetfield: {
-      MemberRef ref = pool.FieldRefAt(static_cast<uint16_t>(instr.a)).value();
+      const ResolvedPool::Member& field = pool_.member(static_cast<uint16_t>(instr.a));
       if (instr.op == Op::kGetfield) {
         VType obj;
         DVM_RETURN_IF_ERROR(PopRefLike(frame, index, &obj));
       }
-      DVM_RETURN_IF_ERROR(ResolveField(index, ref, instr.op == Op::kGetstatic));
-      DVM_RETURN_IF_ERROR(Push(frame, index, VType::FromDescriptor(ref.descriptor)));
+      DVM_RETURN_IF_ERROR(ResolveField(index, field, instr.op == Op::kGetstatic));
+      DVM_RETURN_IF_ERROR(Push(frame, index, field.type));
       break;
     }
     case Op::kPutstatic:
     case Op::kPutfield: {
-      MemberRef ref = pool.FieldRefAt(static_cast<uint16_t>(instr.a)).value();
-      DVM_RETURN_IF_ERROR(PopAssignable(frame, index, ref.descriptor));
+      const ResolvedPool::Member& field = pool_.member(static_cast<uint16_t>(instr.a));
+      DVM_RETURN_IF_ERROR(PopAssignable(frame, index, field.type, field.ref.descriptor));
       if (instr.op == Op::kPutfield) {
         VType obj;
         DVM_RETURN_IF_ERROR(PopRefLike(frame, index, &obj));
       }
-      DVM_RETURN_IF_ERROR(ResolveField(index, ref, instr.op == Op::kPutstatic));
+      DVM_RETURN_IF_ERROR(ResolveField(index, field, instr.op == Op::kPutstatic));
       break;
     }
     case Op::kInvokestatic:
     case Op::kInvokevirtual:
     case Op::kInvokespecial: {
-      MemberRef ref = pool.MethodRefAt(static_cast<uint16_t>(instr.a)).value();
-      DVM_ASSIGN_OR_RETURN(MethodSignature callee, ParseMethodDescriptor(ref.descriptor));
+      const ResolvedPool::Member& method = pool_.member(static_cast<uint16_t>(instr.a));
+      if (!method.sig.ok()) {
+        return method.sig.error();
+      }
+      const MethodSignature& callee = *method.sig;
       // Arguments are popped right-to-left.
       for (size_t p = callee.params.size(); p > 0; p--) {
-        DVM_RETURN_IF_ERROR(PopAssignable(frame, index, callee.params[p - 1]));
+        DVM_RETURN_IF_ERROR(
+            PopAssignable(frame, index, method.params[p - 1], callee.params[p - 1]));
       }
       if (instr.op != Op::kInvokestatic) {
         DVM_ASSIGN_OR_RETURN(VType receiver, Pop(frame, index));
         Check();
-        if (instr.op == Op::kInvokespecial && ref.member_name == "<init>" &&
+        if (instr.op == Op::kInvokespecial && method.is_init &&
             receiver.kind == VType::Kind::kUninit) {
           // Constructor call initializes every copy of this Uninit value.
           Check();
-          if (receiver.name != ref.class_name) {
+          if (receiver.name() != method.ref.class_name) {
             return Fail(index, "constructor class mismatch: " + receiver.ToString() + " vs " +
-                                   ref.class_name);
+                                   method.ref.class_name);
           }
-          VType initialized = VType::Ref(receiver.name);
+          VType initialized = VType::Ref(receiver.sym);
           for (auto& local : frame.locals) {
             if (local == receiver) {
               local = initialized;
@@ -755,37 +853,36 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
           return Fail(index, "invoke on non-reference " + receiver.ToString());
         }
       }
-      DVM_RETURN_IF_ERROR(ResolveMethod(index, ref, instr.op));
+      DVM_RETURN_IF_ERROR(ResolveMethod(index, method, instr.op));
       if (!callee.ReturnsVoid()) {
-        DVM_RETURN_IF_ERROR(Push(frame, index, VType::FromDescriptor(callee.return_type)));
+        DVM_RETURN_IF_ERROR(Push(frame, index, method.ret));
       }
       break;
     }
     case Op::kNew: {
-      std::string class_name = pool.ClassNameAt(static_cast<uint16_t>(instr.a)).value();
+      const ResolvedPool::ClassRef& target = pool_.class_ref(static_cast<uint16_t>(instr.a));
       Check();
-      if (!env_.IsKnown(class_name)) {
-        AssumeClass(class_name);
+      if (!env_.IsKnown(target.name)) {
+        AssumeClass(target.name);
       }
       DVM_RETURN_IF_ERROR(
-          Push(frame, index, VType::Uninit(class_name, static_cast<int>(index))));
+          Push(frame, index, VType::Uninit(target.type.sym, static_cast<int>(index))));
       break;
     }
     case Op::kNewarray:
       DVM_RETURN_IF_ERROR(PopKind(frame, index, VType::Kind::kInt, "array length"));
-      DVM_RETURN_IF_ERROR(Push(
-          frame, index,
-          VType::Ref(instr.a == static_cast<int>(ArrayKind::kLong) ? "[J" : "[I")));
+      DVM_RETURN_IF_ERROR(Push(frame, index,
+                               instr.a == static_cast<int>(ArrayKind::kLong) ? known.long_array
+                                                                             : known.int_array));
       break;
     case Op::kAnewarray: {
-      std::string element = pool.ClassNameAt(static_cast<uint16_t>(instr.a)).value();
+      const ResolvedPool::ClassRef& element = pool_.class_ref(static_cast<uint16_t>(instr.a));
       Check();
-      if (element[0] != '[' && !env_.IsKnown(element)) {
-        AssumeClass(element);
+      if (element.name[0] != '[' && !env_.IsKnown(element.name)) {
+        AssumeClass(element.name);
       }
       DVM_RETURN_IF_ERROR(PopKind(frame, index, VType::Kind::kInt, "array length"));
-      DVM_RETURN_IF_ERROR(
-          Push(frame, index, VType::Ref("[" + DescriptorFromClassName(element))));
+      DVM_RETURN_IF_ERROR(Push(frame, index, element.array_type));
       break;
     }
     case Op::kArraylength: {
@@ -811,7 +908,7 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
             Assumption a;
             a.kind = AssumptionKind::kAssignable;
             a.scope = AssumptionScope::kMethod;
-            a.target_class = t.name;
+            a.target_class = t.name();
             a.expected_class = kThrowable;
             Assume(std::move(a));
             break;
@@ -821,25 +918,23 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       break;
     }
     case Op::kCheckcast: {
-      std::string class_name = pool.ClassNameAt(static_cast<uint16_t>(instr.a)).value();
+      const ResolvedPool::ClassRef& target = pool_.class_ref(static_cast<uint16_t>(instr.a));
       VType t;
       DVM_RETURN_IF_ERROR(PopRefLike(frame, index, &t));
       Check();
-      if (class_name[0] != '[' && !env_.IsKnown(class_name)) {
-        AssumeClass(class_name);
+      if (target.name[0] != '[' && !env_.IsKnown(target.name)) {
+        AssumeClass(target.name);
       }
-      DVM_RETURN_IF_ERROR(Push(frame, index,
-                               class_name[0] == '[' ? VType::Ref(class_name)
-                                                    : VType::Ref(class_name)));
+      DVM_RETURN_IF_ERROR(Push(frame, index, target.type));
       break;
     }
     case Op::kInstanceof: {
-      std::string class_name = pool.ClassNameAt(static_cast<uint16_t>(instr.a)).value();
+      const ResolvedPool::ClassRef& target = pool_.class_ref(static_cast<uint16_t>(instr.a));
       VType t;
       DVM_RETURN_IF_ERROR(PopRefLike(frame, index, &t));
       Check();
-      if (class_name[0] != '[' && !env_.IsKnown(class_name)) {
-        AssumeClass(class_name);
+      if (target.name[0] != '[' && !env_.IsKnown(target.name)) {
+        AssumeClass(target.name);
       }
       DVM_RETURN_IF_ERROR(Push(frame, index, VType::Int()));
       break;
@@ -866,8 +961,6 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
     case Op::kInstanceofQuick:
       return Fail(index, "quick opcode in class file");
   }
-
-  out.frame = std::move(frame);
   return out;
 }
 

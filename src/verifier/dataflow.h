@@ -9,8 +9,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/bytecode/classfile.h"
@@ -24,13 +25,6 @@
 
 namespace dvm {
 
-// Decoded method body with the offset maps the dataflow passes index by.
-struct MethodCode {
-  std::vector<Instr> instrs;
-  std::vector<uint32_t> offsets;                     // per-instruction byte offsets + total
-  std::unordered_map<uint32_t, uint32_t> off_to_ix;  // byte offset -> instruction index
-};
-
 // Phase 1: class file internal consistency (constant pool, descriptor syntax,
 // method/field shape rules). Shared verbatim by VerifyClass and the
 // certificate validator; bumps stats->phase1_checks.
@@ -38,7 +32,7 @@ Status Phase1(const ClassFile& cls, VerifyStats* stats);
 
 // Phase 2: instruction integrity (decode, operand validity, handler ranges,
 // fall-off-the-end). Bumps stats->phase2_checks / instructions_verified.
-Result<MethodCode> Phase2(const ClassFile& cls, const MethodInfo& method, VerifyStats* stats);
+Result<DecodedCode> Phase2(const ClassFile& cls, const MethodInfo& method, VerifyStats* stats);
 
 // Class-level inheritance check shared by VerifyClass and the certificate
 // validator: extending a known-final class is rejected; an unknown superclass
@@ -46,16 +40,108 @@ Result<MethodCode> Phase2(const ClassFile& cls, const MethodInfo& method, Verify
 Status CheckSuperclass(const ClassFile& cls, const ClassEnv& env, uint64_t* checks,
                        std::vector<Assumption>* assumptions);
 
+// Constant-pool entries as the transfer function consumes them, resolved once
+// per class (after phase 1 has validated the pool): names interned and
+// descriptors parsed. Stepping an instruction then reads a slot instead of
+// building strings or taking the interner's lock. Environment lookups stay
+// in the step: callers such as the proxy count every one.
+class ResolvedPool {
+ public:
+  struct ClassRef {
+    std::string name;
+    VType type;        // Ref(name)
+    VType array_type;  // anewarray's result: Ref("[" + DescriptorFromClassName(name))
+  };
+  struct Member {
+    MemberRef ref;
+    VType type;  // field: FromDescriptor(ref.descriptor)
+    // Method: the parsed descriptor, or the parse error the invoke reports.
+    Result<MethodSignature> sig = MethodSignature{};
+    std::vector<VType> params;
+    VType ret;
+    bool is_init = false;  // member_name == "<init>"
+  };
+
+  explicit ResolvedPool(const ClassFile& cls);
+
+  // Entries by constant-pool index; phase 2 has checked the index's tag.
+  const ClassRef& class_ref(uint16_t index) const { return classes_[slot_[index]]; }
+  const Member& member(uint16_t index) const { return members_[slot_[index]]; }
+  // FromDescriptor(ArrayElementDescriptor(array.name())), memoized per class.
+  VType ArrayElement(const VType& array) const;
+
+ private:
+  std::vector<uint32_t> slot_;  // cp index -> position in classes_ or members_
+  std::vector<ClassRef> classes_;
+  std::vector<Member> members_;
+  mutable std::vector<std::pair<uint32_t, VType>> elements_;
+};
+
+// Frames indexed by instruction. Reset() empties every slot but keeps each
+// slot's vectors, so refilling the table reuses earlier allocations.
+class FrameTable {
+ public:
+  void Reset(size_t count) {
+    if (frames_.size() < count) {
+      frames_.resize(count);
+    }
+    present_.assign(count, 0);
+  }
+  bool has(size_t index) const { return present_[index] != 0; }
+  Frame& operator[](size_t index) { return frames_[index]; }
+  const Frame& operator[](size_t index) const { return frames_[index]; }
+  void Set(size_t index, const Frame& frame) {
+    frames_[index] = frame;
+    present_[index] = 1;
+  }
+  // Type slots allocated across every frame, present or not.
+  size_t Capacity() const;
+
+ private:
+  std::vector<Frame> frames_;
+  std::vector<uint8_t> present_;
+};
+
+// Dataflow storage: the per-instruction frames (the fixpoint's in-frames, or
+// the validator's shadow joins), the verifier's assumption buckets and
+// worklist, the validator's asserted frames, and the frame being stepped.
+struct DataflowScratch {
+  FrameTable frames;
+  std::vector<std::vector<Assumption>> buckets;
+  std::vector<uint32_t> worklist;
+  std::vector<const Frame*> asserted;
+  Frame work;
+};
+
+// Lends the calling thread's DataflowScratch to one class's verification or
+// validation, so each method reuses the allocations of the methods and
+// classes before it. On release the scratch is emptied if it holds more than
+// kRetainedSlots types, so one huge method does not pin its frames for the
+// life of the thread. Leases on one thread must not overlap.
+class ScratchLease {
+ public:
+  static constexpr size_t kRetainedSlots = size_t{1} << 20;
+
+  ScratchLease();
+  ~ScratchLease();
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
+
+  DataflowScratch& operator*() { return scratch_; }
+
+ private:
+  DataflowScratch& scratch_;
+};
+
 // Abstract execution of one method's instructions over typestate frames. The
-// interpreter is stateless between calls apart from its check counter and
-// assumption sink — the fixpoint loop and the single validation pass both sit
-// on top of it.
+// interpreter is stateless between calls apart from its check counter,
+// assumption sink and the edge storage HandlerEdges reuses — the fixpoint
+// loop and the single validation pass both sit on top of it.
 class AbstractInterpreter {
  public:
-  // Outcome of stepping one instruction: the outgoing frame plus the edges it
-  // feeds (an explicit branch target and/or fall-through to index+1).
+  // Edges out of one stepped instruction: an explicit branch target and/or
+  // fall-through to index+1.
   struct StepResult {
-    Frame frame;
     std::optional<size_t> branch_target;
     bool fallthrough = false;
   };
@@ -71,23 +157,24 @@ class AbstractInterpreter {
   // phase3_checks, the validator at its own counter); `assumptions` receives
   // link-time assumptions stamped with this method's id. Both must outlive
   // the interpreter; the sink can be swapped per visit.
-  AbstractInterpreter(const ClassFile& cls, const MethodInfo& method, const MethodCode& mc,
-                      const ClassEnv& env, uint64_t* checks,
+  AbstractInterpreter(const ClassFile& cls, const MethodInfo& method, const DecodedCode& mc,
+                      const ClassEnv& env, const ResolvedPool& pool, uint64_t* checks,
                       std::vector<Assumption>* assumptions);
 
   // Frame on entry to instruction 0: receiver + parameters in locals.
   Frame EntryFrame() const;
 
-  // Abstractly executes instruction `index` from `frame`. A returned error is
-  // a verification failure.
-  Result<StepResult> Step(size_t index, Frame frame);
+  // Abstractly executes instruction `index`, turning `frame` from its entry
+  // frame into its outgoing frame. A returned error is a verification
+  // failure, after which `frame` is unspecified.
+  Result<StepResult> Step(size_t index, Frame& frame);
 
   // Exception edges out of instruction `index` given its entry frame: one per
   // handler covering the pc. Rejects a handler whose thrown reference cannot
   // fit on the operand stack (max_stack == 0) or whose catch type is provably
   // not a Throwable; an unknown catch type becomes an assignability
-  // assumption.
-  Result<std::vector<HandlerEdge>> HandlerEdges(size_t index, const Frame& frame);
+  // assumption. The edges stay valid until the next call.
+  Result<std::span<const HandlerEdge>> HandlerEdges(size_t index, const Frame& frame);
 
   void set_assumption_sink(std::vector<Assumption>* sink) { assumptions_ = sink; }
 
@@ -100,20 +187,25 @@ class AbstractInterpreter {
   Result<VType> Pop(Frame& frame, size_t index);
   Status PopKind(Frame& frame, size_t index, VType::Kind kind, const char* what);
   Status PopRefLike(Frame& frame, size_t index, VType* out);
-  Status PopAssignable(Frame& frame, size_t index, const std::string& desc);
+  // Pops a value for a slot of descriptor `desc`, whose type is `want`.
+  Status PopAssignable(Frame& frame, size_t index, const VType& want, const std::string& desc);
   Status Push(Frame& frame, size_t index, VType t);
   Result<VType> GetLocal(const Frame& frame, size_t index, int slot, VType::Kind want,
                          const char* what);
-  Status ResolveField(size_t index, const MemberRef& ref, bool want_static);
-  Status ResolveMethod(size_t index, const MemberRef& ref, Op op);
+  Status ResolveField(size_t index, const ResolvedPool::Member& field, bool want_static);
+  Status ResolveMethod(size_t index, const ResolvedPool::Member& method, Op op);
 
   const ClassFile& cls_;
   const MethodInfo& method_;
-  const MethodCode& mc_;
+  const DecodedCode& mc_;
   const ClassEnv& env_;
+  const ResolvedPool& pool_;
   uint64_t* checks_;
   std::vector<Assumption>* assumptions_;
   MethodSignature sig_;
+  VType return_type_;
+  std::string method_id_;
+  std::vector<HandlerEdge> edges_;
 };
 
 }  // namespace dvm

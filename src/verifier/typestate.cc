@@ -10,6 +10,11 @@ namespace {
 
 constexpr const char* kObject = "java/lang/Object";
 
+VType ObjectType() {
+  static const uint32_t sym = InternSymbol(kObject);
+  return VType::Ref(sym);
+}
+
 // Ancestor chain of `cls` within env (including cls itself), stopping at the
 // first unknown class. Returns whether the walk ended at an unknown class.
 // Hostile hierarchies can cycle (A extends B extends A); the visited set ends
@@ -110,9 +115,9 @@ std::string VType::ToString() const {
     case Kind::kNull:
       return "null";
     case Kind::kRef:
-      return name;
+      return name();
     case Kind::kUninit:
-      return "uninit<" + name + "@" + std::to_string(site) + ">";
+      return "uninit<" + name() + "@" + std::to_string(site) + ">";
   }
   return "?";
 }
@@ -124,7 +129,8 @@ Assignability IsAssignable(const VType& src, const std::string& dst_class, const
   if (src.kind != VType::Kind::kRef) {
     return Assignability::kNo;
   }
-  if (src.name == dst_class || dst_class == kObject) {
+  const std::string& src_name = src.name();
+  if (src_name == dst_class || dst_class == kObject) {
     return Assignability::kYes;
   }
   // Arrays: "[X" assignable to "[Y" iff X assignable to Y (reference elements)
@@ -133,7 +139,7 @@ Assignability IsAssignable(const VType& src, const std::string& dst_class, const
     if (!src.IsArray() || dst_class.empty() || dst_class[0] != '[') {
       return Assignability::kNo;
     }
-    std::string src_elem = ArrayElementDescriptor(src.name);
+    std::string src_elem = ArrayElementDescriptor(src_name);
     std::string dst_elem = ArrayElementDescriptor(dst_class);
     if (src_elem == dst_elem) {
       return Assignability::kYes;
@@ -147,7 +153,7 @@ Assignability IsAssignable(const VType& src, const std::string& dst_class, const
   }
 
   std::vector<std::string> chain;
-  bool hit_unknown = CollectChain(src.name, env, &chain);
+  bool hit_unknown = CollectChain(src_name, env, &chain);
   for (const auto& ancestor : chain) {
     if (ancestor == dst_class) {
       return Assignability::kYes;
@@ -155,8 +161,8 @@ Assignability IsAssignable(const VType& src, const std::string& dst_class, const
   }
   // Interface implementation check along the known part of the chain.
   bool iface_unknown = false;
-  if (env.IsKnown(src.name) &&
-      ImplementsInterface(src.name, dst_class, env, &iface_unknown)) {
+  if (env.IsKnown(src_name) &&
+      ImplementsInterface(src_name, dst_class, env, &iface_unknown)) {
     return Assignability::kYes;
   }
   if (hit_unknown || iface_unknown || !env.IsKnown(dst_class)) {
@@ -179,7 +185,7 @@ VType MergeTypes(const VType& a, const VType& b, const ClassEnv& env) {
   if (a.kind == Kind::kRef && b.kind == Kind::kRef) {
     if (a.IsArray() || b.IsArray()) {
       // Array/array or array/class merges generalize to Object unless equal.
-      return VType::Ref(kObject);
+      return ObjectType();
     }
     // Common ancestor within the known environment; unknown edges widen to
     // Object. The candidate is chosen symmetrically — minimize the deeper of
@@ -189,9 +195,9 @@ VType MergeTypes(const VType& a, const VType& b, const ClassEnv& env) {
     // acyclic single inheritance the common entries form a shared suffix of
     // both chains, so this picks the same junction the old scan did.
     std::vector<std::string> chain_a;
-    CollectChain(a.name, env, &chain_a);
+    CollectChain(a.name(), env, &chain_a);
     std::vector<std::string> chain_b;
-    CollectChain(b.name, env, &chain_b);
+    CollectChain(b.name(), env, &chain_b);
     const std::string* best = nullptr;
     size_t best_deep = 0;
     size_t best_shallow = 0;
@@ -214,7 +220,7 @@ VType MergeTypes(const VType& a, const VType& b, const ClassEnv& env) {
     if (best != nullptr) {
       return VType::Ref(*best);
     }
-    return VType::Ref(kObject);
+    return ObjectType();
   }
   return VType::Top();
 }

@@ -11,46 +11,59 @@
 #ifndef SRC_VERIFIER_TYPESTATE_H_
 #define SRC_VERIFIER_TYPESTATE_H_
 
+#include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
+#include "src/support/interner.h"
 #include "src/verifier/class_env.h"
 
 namespace dvm {
 
+// A plain value: the class name lives in the process-wide interner, so
+// copying, comparing and merging frames never touches a string.
 struct VType {
   enum class Kind : uint8_t {
     kTop,     // unknown / conflicting — cannot be used
     kInt,
     kLong,
     kNull,    // null constant, assignable to any reference type
-    kRef,     // reference; `name` is a class name ("foo/Bar") or array descriptor ("[I")
-    kUninit,  // allocated but unconstructed; `name` is the class, `site` the new-index
+    kRef,     // reference; `sym` names a class ("foo/Bar") or array descriptor ("[I")
+    kUninit,  // allocated but unconstructed; `sym` names the class, `site` the new-index
   };
 
   Kind kind = Kind::kTop;
-  std::string name;
-  int site = -1;
+  int32_t site = -1;
+  uint32_t sym = kNoSymbol;
 
-  static VType Top() { return {Kind::kTop, "", -1}; }
-  static VType Int() { return {Kind::kInt, "", -1}; }
-  static VType Long() { return {Kind::kLong, "", -1}; }
-  static VType Null() { return {Kind::kNull, "", -1}; }
-  static VType Ref(std::string class_or_array) {
-    return {Kind::kRef, std::move(class_or_array), -1};
+  static VType Top() { return {Kind::kTop, -1, kNoSymbol}; }
+  static VType Int() { return {Kind::kInt, -1, kNoSymbol}; }
+  static VType Long() { return {Kind::kLong, -1, kNoSymbol}; }
+  static VType Null() { return {Kind::kNull, -1, kNoSymbol}; }
+  static VType Ref(uint32_t name_sym) { return {Kind::kRef, -1, name_sym}; }
+  static VType Ref(std::string_view class_or_array) {
+    return Ref(InternSymbol(class_or_array));
   }
-  static VType Uninit(std::string class_name, int new_site) {
-    return {Kind::kUninit, std::move(class_name), new_site};
+  static VType Uninit(uint32_t class_sym, int new_site) {
+    return {Kind::kUninit, new_site, class_sym};
+  }
+  static VType Uninit(std::string_view class_name, int new_site) {
+    return Uninit(InternSymbol(class_name), new_site);
   }
   // VType for a field/param descriptor ("I", "J", "Lfoo/Bar;", "[I").
   static VType FromDescriptor(const std::string& desc);
 
+  // Class name or array descriptor; empty for the kinds that carry none.
+  const std::string& name() const { return SymbolName(sym); }
   bool IsRefLike() const { return kind == Kind::kRef || kind == Kind::kNull; }
-  bool IsArray() const { return kind == Kind::kRef && !name.empty() && name[0] == '['; }
+  bool IsArray() const { return kind == Kind::kRef && name().starts_with('['); }
   bool operator==(const VType& other) const = default;
 
   std::string ToString() const;
 };
+static_assert(std::is_trivially_copyable_v<VType>);
 
 // Result of an assignability query against a partial environment.
 enum class Assignability {

@@ -1,8 +1,7 @@
 #include "src/verifier/verifier.h"
 
-#include <deque>
-#include <optional>
 #include <set>
+#include <span>
 
 #include "src/bytecode/code.h"
 #include "src/bytecode/descriptor.h"
@@ -103,17 +102,19 @@ namespace {
 
 class MethodVerifier {
  public:
-  MethodVerifier(const ClassFile& cls, const MethodInfo& method, const MethodCode& mc,
-                 const ClassEnv& env, VerifyStats* stats, std::vector<Assumption>* assumptions)
+  MethodVerifier(const ClassFile& cls, const MethodInfo& method, const DecodedCode& mc,
+                 const ClassEnv& env, const ResolvedPool& pool, DataflowScratch& scratch,
+                 VerifyStats* stats, std::vector<Assumption>* assumptions)
       : method_(method), mc_(mc), env_(env), stats_(stats), assumptions_(assumptions),
-        interp_(cls, method, mc, env, &stats->phase3_checks, assumptions) {}
+        in_frames_(scratch.frames), buckets_(scratch.buckets), work_(scratch.work),
+        worklist_(scratch.worklist),
+        interp_(cls, method, mc, env, pool, &stats->phase3_checks, assumptions) {}
 
   Status Run();
 
   // Fills `out` with the fixpoint frame at every merge point: branch targets
-  // and handler entries that are reachable. std::set iteration keeps the
-  // assertion indices strictly increasing, which the canonical certificate
-  // encoding requires.
+  // and handler entries that are reachable, in increasing index order, which
+  // the canonical certificate encoding requires.
   void EmitAssertions(MethodCertificate* out) const;
 
  private:
@@ -123,88 +124,104 @@ class MethodVerifier {
     return Verr("merge @" + std::to_string(index) + ": " + message);
   }
 
-  Status Transfer(size_t index, Frame frame);
+  Status Transfer(size_t index);
   Status MergeInto(size_t target, const Frame& frame);
 
   const MethodInfo& method_;
-  const MethodCode& mc_;
+  const DecodedCode& mc_;
   const ClassEnv& env_;
   VerifyStats* stats_;
   std::vector<Assumption>* assumptions_;
-  AbstractInterpreter interp_;
 
-  std::vector<std::optional<Frame>> in_frames_;
+  FrameTable& in_frames_;
   // Assumptions recorded by the most recent visit of each instruction. The
   // final visit always runs at the fixpoint in-frame (any later change would
   // re-enqueue it), so flattening the buckets in instruction order yields
   // exactly the assumptions a single pass over the fixpoint derives — the
   // certificate validator recomputes and compares them.
-  std::vector<std::vector<Assumption>> buckets_;
-  std::deque<size_t> worklist_;
+  std::vector<std::vector<Assumption>>& buckets_;
+  Frame& work_;  // the visited instruction's frame, stepped in place
+  // FIFO of instructions to visit: entries before head_ are done.
+  std::vector<uint32_t>& worklist_;
+  size_t head_ = 0;
+  AbstractInterpreter interp_;
 };
 
 Status MethodVerifier::MergeInto(size_t target, const Frame& frame) {
-  if (!in_frames_[target].has_value()) {
-    in_frames_[target] = frame;
-    worklist_.push_back(target);
+  if (!in_frames_.has(target)) {
+    in_frames_.Set(target, frame);
+    worklist_.push_back(static_cast<uint32_t>(target));
     return Status::Ok();
   }
   Check();
-  if (in_frames_[target]->stack.size() != frame.stack.size()) {
+  Frame& into = in_frames_[target];
+  if (into.stack.size() != frame.stack.size()) {
     return Fail(target, "inconsistent stack depth at merge point (" +
-                            std::to_string(in_frames_[target]->stack.size()) + " vs " +
+                            std::to_string(into.stack.size()) + " vs " +
                             std::to_string(frame.stack.size()) + ")");
   }
   bool changed = false;
-  MergeFrames(*in_frames_[target], frame, env_, &changed);
+  MergeFrames(into, frame, env_, &changed);
   if (changed) {
-    worklist_.push_back(target);
+    worklist_.push_back(static_cast<uint32_t>(target));
   }
   return Status::Ok();
 }
 
-Status MethodVerifier::Transfer(size_t index, Frame frame) {
+Status MethodVerifier::Transfer(size_t index) {
   // Last-visit semantics: this visit's assumptions replace the previous
   // visit's for this instruction.
   buckets_[index].clear();
   interp_.set_assumption_sink(&buckets_[index]);
+
+  // Copied before any merge below can widen the in-frame (a handler may
+  // cover its own entry).
+  work_ = in_frames_[index];
 
   // Any instruction inside a protected range contributes its locals to the
   // handler entry state (the stack is replaced by the thrown reference). A
   // failed handler merge is a verification failure — the old code swallowed
   // it, accepting methods whose handler entry state was inconsistent with
   // normal control flow into the same pc.
-  DVM_ASSIGN_OR_RETURN(std::vector<AbstractInterpreter::HandlerEdge> handler_edges,
-                       interp_.HandlerEdges(index, frame));
+  DVM_ASSIGN_OR_RETURN(std::span<const AbstractInterpreter::HandlerEdge> handler_edges,
+                       interp_.HandlerEdges(index, work_));
   for (const auto& edge : handler_edges) {
     DVM_RETURN_IF_ERROR(MergeInto(edge.target, edge.frame));
   }
 
-  DVM_ASSIGN_OR_RETURN(AbstractInterpreter::StepResult out,
-                       interp_.Step(index, std::move(frame)));
+  DVM_ASSIGN_OR_RETURN(AbstractInterpreter::StepResult out, interp_.Step(index, work_));
   if (out.branch_target.has_value()) {
-    DVM_RETURN_IF_ERROR(MergeInto(*out.branch_target, out.frame));
+    DVM_RETURN_IF_ERROR(MergeInto(*out.branch_target, work_));
   }
   if (out.fallthrough) {
-    DVM_RETURN_IF_ERROR(MergeInto(index + 1, out.frame));
+    DVM_RETURN_IF_ERROR(MergeInto(index + 1, work_));
   }
   return Status::Ok();
 }
 
 Status MethodVerifier::Run() {
-  in_frames_.assign(mc_.instrs.size(), std::nullopt);
-  buckets_.assign(mc_.instrs.size(), {});
-  in_frames_[0] = interp_.EntryFrame();
-  worklist_.push_back(0);
+  const size_t count = mc_.instrs.size();
+  in_frames_.Reset(count);
+  if (buckets_.size() < count) {
+    buckets_.resize(count);
+  }
+  for (size_t i = 0; i < count; i++) {
+    buckets_[i].clear();
+  }
+  in_frames_.Set(0, interp_.EntryFrame());
+  worklist_.assign(1, 0);
+  head_ = 0;
 
-  while (!worklist_.empty()) {
-    size_t index = worklist_.front();
-    worklist_.pop_front();
-    DVM_RETURN_IF_ERROR(Transfer(index, *in_frames_[index]));
+  while (head_ < worklist_.size()) {
+    DVM_RETURN_IF_ERROR(Transfer(worklist_[head_++]));
+    if (head_ == worklist_.size()) {
+      worklist_.clear();
+      head_ = 0;
+    }
   }
 
-  for (auto& bucket : buckets_) {
-    for (auto& a : bucket) {
+  for (size_t i = 0; i < count; i++) {
+    for (auto& a : buckets_[i]) {
       assumptions_->push_back(std::move(a));
     }
   }
@@ -212,22 +229,22 @@ Status MethodVerifier::Run() {
 }
 
 void MethodVerifier::EmitAssertions(MethodCertificate* out) const {
-  std::set<size_t> targets;
+  std::vector<uint8_t> is_target(mc_.instrs.size(), 0);
   for (const Instr& instr : mc_.instrs) {
     if (IsBranch(instr.op)) {
-      targets.insert(static_cast<size_t>(instr.a));
+      is_target[static_cast<size_t>(instr.a)] = 1;
     }
   }
   for (const auto& h : method_.code->handlers) {
-    targets.insert(mc_.off_to_ix.at(h.handler_pc));
+    is_target[static_cast<size_t>(mc_.IndexAt(h.handler_pc))] = 1;
   }
-  for (size_t target : targets) {
-    if (!in_frames_[target].has_value()) {
-      continue;  // unreachable target: the fixpoint never produced a frame
+  for (size_t target = 0; target < is_target.size(); target++) {
+    if (!is_target[target] || !in_frames_.has(target)) {
+      continue;  // not a merge point, or unreachable: the fixpoint never produced a frame
     }
     FrameAssertion assertion;
     assertion.index = static_cast<uint32_t>(target);
-    assertion.frame = *in_frames_[target];
+    assertion.frame = in_frames_[target];
     out->assertions.push_back(std::move(assertion));
   }
 }
@@ -250,12 +267,14 @@ Result<VerifiedClass> VerifyClass(const ClassFile& cls, const ClassEnv& env,
     cert_out->class_name = cls.name();
   }
 
+  ResolvedPool pool(cls);
+  ScratchLease scratch;
   for (const auto& method : cls.methods) {
     if (!method.code.has_value()) {
       continue;
     }
-    DVM_ASSIGN_OR_RETURN(MethodCode mc, Phase2(cls, method, &out.stats));
-    MethodVerifier verifier(cls, method, mc, env, &out.stats, &out.assumptions);
+    DVM_ASSIGN_OR_RETURN(DecodedCode mc, Phase2(cls, method, &out.stats));
+    MethodVerifier verifier(cls, method, mc, env, pool, *scratch, &out.stats, &out.assumptions);
     DVM_RETURN_IF_ERROR(verifier.Run());
     if (cert_out != nullptr) {
       MethodCertificate mcert;

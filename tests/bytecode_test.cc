@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <unordered_map>
+
 #include "src/bytecode/builder.h"
 #include "src/bytecode/code.h"
 #include "src/bytecode/constant_pool.h"
@@ -16,6 +20,198 @@ TEST(OpcodesTest, MetadataPresentForAllOps) {
   EXPECT_NE(GetOpInfo(Op::kNop), nullptr);
   EXPECT_NE(GetOpInfo(Op::kInvokevirtual), nullptr);
   EXPECT_EQ(GetOpInfo(static_cast<Op>(0xFE)), nullptr);
+}
+
+// The opcode table as it was before it became a dense 256-entry array: a
+// hash map from opcode byte to metadata, with lengths, branch and terminator
+// queries derived per call. Kept here only as the reference for the test
+// below.
+namespace reference {
+
+struct Entry {
+  Op op;
+  OpInfo info;
+};
+
+const Entry kTable[] = {
+    {Op::kNop, {"nop", OperandKind::kNone, 0, false}},
+    {Op::kAconstNull, {"aconst_null", OperandKind::kNone, 1, false}},
+    {Op::kIconst0, {"iconst_0", OperandKind::kNone, 1, false}},
+    {Op::kIconst1, {"iconst_1", OperandKind::kNone, 1, false}},
+    {Op::kBipush, {"bipush", OperandKind::kI8, 1, false}},
+    {Op::kSipush, {"sipush", OperandKind::kI16, 1, false}},
+    {Op::kLdc, {"ldc", OperandKind::kCpIndex, 1, false}},
+    {Op::kIload, {"iload", OperandKind::kU8, 1, false}},
+    {Op::kLload, {"lload", OperandKind::kU8, 1, false}},
+    {Op::kAload, {"aload", OperandKind::kU8, 1, false}},
+    {Op::kIstore, {"istore", OperandKind::kU8, -1, false}},
+    {Op::kLstore, {"lstore", OperandKind::kU8, -1, false}},
+    {Op::kAstore, {"astore", OperandKind::kU8, -1, false}},
+    {Op::kIaload, {"iaload", OperandKind::kNone, -1, false}},
+    {Op::kLaload, {"laload", OperandKind::kNone, -1, false}},
+    {Op::kAaload, {"aaload", OperandKind::kNone, -1, false}},
+    {Op::kIastore, {"iastore", OperandKind::kNone, -3, false}},
+    {Op::kLastore, {"lastore", OperandKind::kNone, -3, false}},
+    {Op::kAastore, {"aastore", OperandKind::kNone, -3, false}},
+    {Op::kPop, {"pop", OperandKind::kNone, -1, false}},
+    {Op::kDup, {"dup", OperandKind::kNone, 1, false}},
+    {Op::kDupX1, {"dup_x1", OperandKind::kNone, 1, false}},
+    {Op::kSwap, {"swap", OperandKind::kNone, 0, false}},
+    {Op::kIadd, {"iadd", OperandKind::kNone, -1, false}},
+    {Op::kLadd, {"ladd", OperandKind::kNone, -1, false}},
+    {Op::kIsub, {"isub", OperandKind::kNone, -1, false}},
+    {Op::kLsub, {"lsub", OperandKind::kNone, -1, false}},
+    {Op::kImul, {"imul", OperandKind::kNone, -1, false}},
+    {Op::kLmul, {"lmul", OperandKind::kNone, -1, false}},
+    {Op::kIdiv, {"idiv", OperandKind::kNone, -1, false}},
+    {Op::kLdiv, {"ldiv", OperandKind::kNone, -1, false}},
+    {Op::kIrem, {"irem", OperandKind::kNone, -1, false}},
+    {Op::kLrem, {"lrem", OperandKind::kNone, -1, false}},
+    {Op::kIneg, {"ineg", OperandKind::kNone, 0, false}},
+    {Op::kLneg, {"lneg", OperandKind::kNone, 0, false}},
+    {Op::kIshl, {"ishl", OperandKind::kNone, -1, false}},
+    {Op::kIshr, {"ishr", OperandKind::kNone, -1, false}},
+    {Op::kIushr, {"iushr", OperandKind::kNone, -1, false}},
+    {Op::kIand, {"iand", OperandKind::kNone, -1, false}},
+    {Op::kIor, {"ior", OperandKind::kNone, -1, false}},
+    {Op::kIxor, {"ixor", OperandKind::kNone, -1, false}},
+    {Op::kIinc, {"iinc", OperandKind::kLocalIncr, 0, false}},
+    {Op::kI2l, {"i2l", OperandKind::kNone, 0, false}},
+    {Op::kL2i, {"l2i", OperandKind::kNone, 0, false}},
+    {Op::kLcmp, {"lcmp", OperandKind::kNone, -1, false}},
+    {Op::kIfeq, {"ifeq", OperandKind::kBranch16, -1, false}},
+    {Op::kIfne, {"ifne", OperandKind::kBranch16, -1, false}},
+    {Op::kIflt, {"iflt", OperandKind::kBranch16, -1, false}},
+    {Op::kIfge, {"ifge", OperandKind::kBranch16, -1, false}},
+    {Op::kIfgt, {"ifgt", OperandKind::kBranch16, -1, false}},
+    {Op::kIfle, {"ifle", OperandKind::kBranch16, -1, false}},
+    {Op::kIfIcmpeq, {"if_icmpeq", OperandKind::kBranch16, -2, false}},
+    {Op::kIfIcmpne, {"if_icmpne", OperandKind::kBranch16, -2, false}},
+    {Op::kIfIcmplt, {"if_icmplt", OperandKind::kBranch16, -2, false}},
+    {Op::kIfIcmpge, {"if_icmpge", OperandKind::kBranch16, -2, false}},
+    {Op::kIfIcmpgt, {"if_icmpgt", OperandKind::kBranch16, -2, false}},
+    {Op::kIfIcmple, {"if_icmple", OperandKind::kBranch16, -2, false}},
+    {Op::kIfAcmpeq, {"if_acmpeq", OperandKind::kBranch16, -2, false}},
+    {Op::kIfAcmpne, {"if_acmpne", OperandKind::kBranch16, -2, false}},
+    {Op::kGoto, {"goto", OperandKind::kBranch16, 0, false}},
+    {Op::kIreturn, {"ireturn", OperandKind::kNone, -1, false}},
+    {Op::kLreturn, {"lreturn", OperandKind::kNone, -1, false}},
+    {Op::kAreturn, {"areturn", OperandKind::kNone, -1, false}},
+    {Op::kReturn, {"return", OperandKind::kNone, 0, false}},
+    {Op::kGetstatic, {"getstatic", OperandKind::kCpIndex, kVariableStack, true}},
+    {Op::kPutstatic, {"putstatic", OperandKind::kCpIndex, kVariableStack, true}},
+    {Op::kGetfield, {"getfield", OperandKind::kCpIndex, kVariableStack, true}},
+    {Op::kPutfield, {"putfield", OperandKind::kCpIndex, kVariableStack, true}},
+    {Op::kInvokevirtual, {"invokevirtual", OperandKind::kCpIndex, kVariableStack, true}},
+    {Op::kInvokespecial, {"invokespecial", OperandKind::kCpIndex, kVariableStack, true}},
+    {Op::kInvokestatic, {"invokestatic", OperandKind::kCpIndex, kVariableStack, true}},
+    {Op::kNew, {"new", OperandKind::kCpIndex, 1, false}},
+    {Op::kNewarray, {"newarray", OperandKind::kArrayKind, 0, false}},
+    {Op::kAnewarray, {"anewarray", OperandKind::kCpIndex, 0, false}},
+    {Op::kArraylength, {"arraylength", OperandKind::kNone, 0, false}},
+    {Op::kAthrow, {"athrow", OperandKind::kNone, -1, false}},
+    {Op::kCheckcast, {"checkcast", OperandKind::kCpIndex, 0, false}},
+    {Op::kInstanceof, {"instanceof", OperandKind::kCpIndex, 0, false}},
+    {Op::kMonitorenter, {"monitorenter", OperandKind::kNone, -1, false}},
+    {Op::kMonitorexit, {"monitorexit", OperandKind::kNone, -1, false}},
+    {Op::kIfnull, {"ifnull", OperandKind::kBranch16, -1, false}},
+    {Op::kIfnonnull, {"ifnonnull", OperandKind::kBranch16, -1, false}},
+    {Op::kLdcQuick, {"ldc_quick", OperandKind::kCpIndex, 1, false}},
+    {Op::kGetfieldQuick, {"getfield_quick", OperandKind::kCpIndex, kVariableStack, true}},
+    {Op::kPutfieldQuick, {"putfield_quick", OperandKind::kCpIndex, kVariableStack, true}},
+    {Op::kGetstaticQuick, {"getstatic_quick", OperandKind::kCpIndex, kVariableStack, true}},
+    {Op::kPutstaticQuick, {"putstatic_quick", OperandKind::kCpIndex, kVariableStack, true}},
+    {Op::kInvokevirtualQuick,
+     {"invokevirtual_quick", OperandKind::kCpIndex, kVariableStack, true}},
+    {Op::kInvokespecialQuick,
+     {"invokespecial_quick", OperandKind::kCpIndex, kVariableStack, true}},
+    {Op::kInvokestaticQuick,
+     {"invokestatic_quick", OperandKind::kCpIndex, kVariableStack, true}},
+    {Op::kNewQuick, {"new_quick", OperandKind::kCpIndex, 1, false}},
+    {Op::kAnewarrayQuick, {"anewarray_quick", OperandKind::kCpIndex, 0, false}},
+    {Op::kCheckcastQuick, {"checkcast_quick", OperandKind::kCpIndex, 0, false}},
+    {Op::kInstanceofQuick, {"instanceof_quick", OperandKind::kCpIndex, 0, false}},
+};
+
+const std::unordered_map<uint8_t, const OpInfo*>& Table() {
+  static const auto* map = [] {
+    auto* m = new std::unordered_map<uint8_t, const OpInfo*>();
+    for (const auto& e : kTable) {
+      (*m)[static_cast<uint8_t>(e.op)] = &e.info;
+    }
+    return m;
+  }();
+  return *map;
+}
+
+const OpInfo* GetOpInfo(Op op) {
+  auto it = Table().find(static_cast<uint8_t>(op));
+  return it == Table().end() ? nullptr : it->second;
+}
+
+int InstructionLength(Op op) {
+  const OpInfo* info = reference::GetOpInfo(op);
+  if (info == nullptr) {
+    return -1;
+  }
+  switch (info->operands) {
+    case OperandKind::kNone:
+      return 1;
+    case OperandKind::kI8:
+    case OperandKind::kU8:
+    case OperandKind::kArrayKind:
+      return 2;
+    case OperandKind::kI16:
+    case OperandKind::kCpIndex:
+    case OperandKind::kBranch16:
+    case OperandKind::kLocalIncr:
+      return 3;
+  }
+  return -1;
+}
+
+bool IsBranch(Op op) {
+  const OpInfo* info = reference::GetOpInfo(op);
+  return info != nullptr && info->operands == OperandKind::kBranch16;
+}
+
+bool IsTerminator(Op op) {
+  return op == Op::kIreturn || op == Op::kLreturn || op == Op::kAreturn ||
+         op == Op::kReturn || op == Op::kGoto || op == Op::kAthrow;
+}
+
+bool IsQuickOp(Op op) {
+  uint8_t raw = static_cast<uint8_t>(op);
+  return raw >= 0xd3 && raw <= 0xde;
+}
+
+}  // namespace reference
+
+// Every byte value, defined or not (the quick range 0xd3-0xde and the
+// undefined 0xdf-0xff included), answers exactly as the map-based table did.
+TEST(OpcodesTest, DenseTableMatchesMapTableForEveryByte) {
+  size_t defined = 0;
+  for (int raw = 0; raw < 256; raw++) {
+    SCOPED_TRACE("opcode byte " + std::to_string(raw));
+    Op op = static_cast<Op>(raw);
+    const OpInfo* want = reference::GetOpInfo(op);
+    const OpInfo* got = GetOpInfo(op);
+    ASSERT_EQ(got == nullptr, want == nullptr);
+    EXPECT_EQ(GetOpInfo(static_cast<uint8_t>(raw)), got);
+    if (want != nullptr) {
+      defined++;
+      EXPECT_EQ(got->name, want->name);
+      EXPECT_EQ(got->operands, want->operands);
+      EXPECT_EQ(got->stack_delta, want->stack_delta);
+      EXPECT_EQ(got->variable_stack, want->variable_stack);
+    }
+    EXPECT_EQ(InstructionLength(op), reference::InstructionLength(op));
+    EXPECT_EQ(IsBranch(op), reference::IsBranch(op));
+    EXPECT_EQ(IsTerminator(op), reference::IsTerminator(op));
+    EXPECT_EQ(IsQuickOp(op), reference::IsQuickOp(op));
+    EXPECT_EQ(IsQuickOp(static_cast<uint8_t>(raw)), reference::IsQuickOp(op));
+  }
+  EXPECT_EQ(defined, std::size(reference::kTable));
 }
 
 TEST(OpcodesTest, InstructionLengths) {
@@ -142,7 +338,7 @@ TEST(CodeTest, EncodeDecodeRoundTrip) {
   ASSERT_TRUE(encoded.ok());
   auto decoded = DecodeCode(*encoded);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(*decoded, instrs);
+  EXPECT_EQ(decoded->instrs, instrs);
 }
 
 TEST(CodeTest, NegativeImmediatesRoundTrip) {
@@ -156,7 +352,7 @@ TEST(CodeTest, NegativeImmediatesRoundTrip) {
   ASSERT_TRUE(encoded.ok());
   auto decoded = DecodeCode(*encoded);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(*decoded, instrs);
+  EXPECT_EQ(decoded->instrs, instrs);
 }
 
 TEST(CodeTest, RejectsUnknownOpcode) {
@@ -180,6 +376,57 @@ TEST(CodeTest, RejectsBranchIntoMiddleOfInstruction) {
   Bytes bad = {static_cast<uint8_t>(Op::kSipush), 0x00, 0x05,
                static_cast<uint8_t>(Op::kGoto), 0xFF, 0xFE};
   EXPECT_FALSE(DecodeCode(bad).ok());
+}
+
+// The dense pc maps, at the shapes where a vector indexed by pc could read out
+// of bounds where the old hash map could not.
+TEST(CodeTest, PcMapsCoverEveryByteAndTheEnd) {
+  // sipush 0x0102; nop; return
+  Bytes code = {static_cast<uint8_t>(Op::kSipush), 0x01, 0x02, static_cast<uint8_t>(Op::kNop),
+                static_cast<uint8_t>(Op::kReturn)};
+  auto decoded = DecodeCode(code);
+  ASSERT_TRUE(decoded.ok()) << decoded.error().ToString();
+  EXPECT_EQ(decoded->offsets, (std::vector<uint32_t>{0, 3, 4, 5}));
+  EXPECT_EQ(decoded->pc_to_index, (std::vector<int32_t>{0, -1, -1, 1, 2, 3}));
+  EXPECT_EQ(decoded->IndexAt(5), 3);  // the code length maps to instrs.size()
+  EXPECT_EQ(decoded->IndexAt(6), -1);
+  EXPECT_EQ(decoded->IndexAt(0xFFFF), -1);
+  EXPECT_EQ(decoded->IndexAt(UINT32_MAX), -1);
+}
+
+TEST(CodeTest, BranchToOffsetZero) {
+  Bytes code = {static_cast<uint8_t>(Op::kGoto), 0x00, 0x00};
+  auto decoded = DecodeCode(code);
+  ASSERT_TRUE(decoded.ok()) << decoded.error().ToString();
+  ASSERT_EQ(decoded->instrs.size(), 1u);
+  EXPECT_EQ(decoded->instrs[0].a, 0);
+}
+
+TEST(CodeTest, BranchToLastInstruction) {
+  // ifeq +4 (to the return at offset 4); nop; return
+  Bytes code = {static_cast<uint8_t>(Op::kIfeq), 0x00, 0x04, static_cast<uint8_t>(Op::kNop),
+                static_cast<uint8_t>(Op::kReturn)};
+  auto decoded = DecodeCode(code);
+  ASSERT_TRUE(decoded.ok()) << decoded.error().ToString();
+  ASSERT_EQ(decoded->instrs.size(), 3u);
+  EXPECT_EQ(decoded->instrs[0].a, 2);
+}
+
+TEST(CodeTest, BranchIntoThreeByteInstructionNamesTheOffset) {
+  // sipush at 0-2; goto at 3 targets offset 2, the sipush's last byte.
+  Bytes code = {static_cast<uint8_t>(Op::kSipush), 0x00, 0x05,
+                static_cast<uint8_t>(Op::kGoto), 0xFF, 0xFF};
+  auto decoded = DecodeCode(code);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error().message, "branch targets mid-instruction offset 2");
+}
+
+TEST(CodeTest, BranchToCodeLengthEscapes) {
+  // nop; goto +2 lands exactly on the code length: not an instruction.
+  Bytes code = {static_cast<uint8_t>(Op::kNop), static_cast<uint8_t>(Op::kGoto), 0x00, 0x03};
+  auto decoded = DecodeCode(code);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error().message, "branch at offset 1 escapes method body");
 }
 
 TEST(CodeTest, ByteOffsetsAccountForWidths) {
@@ -269,8 +516,8 @@ TEST(BuilderTest, BranchesResolve) {
   auto decoded = DecodeCode(m->code->code);
   ASSERT_TRUE(decoded.ok());
   bool saw_backward = false;
-  for (size_t i = 0; i < decoded->size(); i++) {
-    if ((*decoded)[i].op == Op::kGoto && (*decoded)[i].a < static_cast<int>(i)) {
+  for (size_t i = 0; i < decoded->instrs.size(); i++) {
+    if (decoded->instrs[i].op == Op::kGoto && decoded->instrs[i].a < static_cast<int>(i)) {
       saw_backward = true;
     }
   }

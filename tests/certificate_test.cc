@@ -12,6 +12,7 @@
 //     and a tampered push is dropped fail-closed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -26,8 +27,10 @@
 #include "src/services/verify_service.h"
 #include "src/simnet/fault.h"
 #include "src/simnet/sim.h"
+#include "src/support/hash.h"
 #include "src/verifier/certificate.h"
 #include "src/verifier/verifier.h"
+#include "src/workloads/applets.h"
 #include "src/workloads/apps.h"
 
 namespace dvm {
@@ -183,6 +186,132 @@ TEST_F(CertificateTest, ValidatorAgreesOnFuzzCorpus) {
                                 << validated.error().ToString();
   }
   EXPECT_GT(accepted, 0u) << "corpus has no verifier-accepted inputs to differentiate";
+}
+
+// Work counts and certificate bytes of verifying, then validating, every class
+// of a set of bundles. The counts feed the virtual clock (phase-3 checks and
+// one-pass validate checks are charged per check), so they pin the worklist
+// schedule and the validator's pass exactly.
+struct VerifyTotals {
+  uint64_t classes = 0;
+  uint64_t phase1 = 0;
+  uint64_t phase2 = 0;
+  uint64_t phase3 = 0;
+  uint64_t validate_checks = 0;
+  uint64_t cert_fnv = 0;  // FNV-1a over every certificate's bytes, in order
+
+  bool operator==(const VerifyTotals&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const VerifyTotals& t) {
+  return os << "{" << t.classes << ", " << t.phase1 << ", " << t.phase2 << ", " << t.phase3
+            << ", " << t.validate_checks << ", 0x" << std::hex << t.cert_fnv << std::dec
+            << "}";
+}
+
+VerifyTotals VerifyBundles(const std::vector<AppBundle>& bundles, const ClassEnv& lib_env) {
+  VerifyTotals totals;
+  Bytes all_certs;
+  for (const AppBundle& bundle : bundles) {
+    MapClassEnv bundle_env;
+    for (const ClassFile& cls : bundle.classes) {
+      bundle_env.Add(&cls);
+    }
+    ChainedClassEnv env(&bundle_env, &lib_env);
+    for (const ClassFile& cls : bundle.classes) {
+      ClassCertificate cert;
+      auto verified = VerifyClass(cls, env, &cert);
+      EXPECT_TRUE(verified.ok()) << cls.name();
+      if (!verified.ok()) {
+        continue;
+      }
+      totals.classes++;
+      totals.phase1 += verified->stats.phase1_checks;
+      totals.phase2 += verified->stats.phase2_checks;
+      totals.phase3 += verified->stats.phase3_checks;
+      Bytes wire = SerializeCertificate(cert);
+      all_certs.insert(all_certs.end(), wire.begin(), wire.end());
+      ValidateStats stats;
+      EXPECT_TRUE(ValidateCertificate(cls, env, cert, &stats).ok()) << cls.name();
+      totals.validate_checks += stats.validate_checks;
+    }
+  }
+  totals.cert_fnv = Fnv1a(all_certs.data(), all_certs.size());
+  return totals;
+}
+
+// Golden values recorded before the verifier's data layout was made dense
+// (opcode table, pc maps, interned frame types). A change to the fixpoint's
+// visit order, to any Check(), or to certificate bytes fails here.
+TEST_F(CertificateTest, VirtualClockInputsArePinned) {
+  EXPECT_EQ(VerifyBundles(BuildFig5Apps(1), lib_env_),
+            (VerifyTotals{400, 32156, 987819, 1620059, 1646862, 0xd5b834dc75accb63}));
+  EXPECT_EQ(VerifyBundles(BuildAppletPopulation(6, 1), lib_env_),
+            (VerifyTotals{23, 414, 359805, 599400, 599668, 0x678c88242bd6082c}));
+}
+
+// Verdicts and error strings over the fuzz corpus are pinned the same way:
+// FNV-1a over "<file>:<verdict>\n" lines in file-name order.
+TEST_F(CertificateTest, CorpusVerdictsArePinned) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(DVM_CORPUS_DIR)) {
+    if (entry.is_regular_file()) {
+      files.push_back(entry.path());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  std::string verdicts;
+  for (const auto& path : files) {
+    auto parsed = ReadClassFile(ReadFileBytes(path));
+    if (!parsed.ok()) {
+      continue;
+    }
+    MapClassEnv self;
+    self.Add(&parsed.value());
+    ChainedClassEnv env(&self, &lib_env_);
+    auto verified = VerifyClass(parsed.value(), env);
+    verdicts += path.filename().string() + ":" +
+                (verified.ok() ? std::string("ok") : verified.error().ToString()) + "\n";
+  }
+  EXPECT_EQ(Fnv1a(verdicts), 0xc3871323d54643faULL) << verdicts;
+}
+
+// An asserted frame becomes the in-frame wherever no fall-through edge
+// reaches it, before any edge has been checked against it. Here the block
+// after the leading `goto` is reached only by a later backward branch, and
+// its asserted frame is stripped of the method's one local: the
+// `iload 0` / `istore 0` stepped from it must not index past the frame.
+TEST_F(CertificateTest, AssertionMissingLocalsIsRejected) {
+  ClassBuilder cb("app/Narrow", "java/lang/Object");
+  MethodBuilder& m = cb.AddMethod(AccessFlags::kPublic | AccessFlags::kStatic, "f", "(I)I");
+  Label body = m.NewLabel();
+  Label test = m.NewLabel();
+  m.Branch(Op::kGoto, test);
+  m.Bind(body).LoadLocal("I", 0).StoreLocal("I", 0).LoadLocal("I", 0).Emit(Op::kIreturn);
+  m.Bind(test).LoadLocal("I", 0).Branch(Op::kIfeq, body);
+  m.PushInt(1).Emit(Op::kIreturn);
+  ClassFile cls = cb.Build().value();
+  MapClassEnv self;
+  self.Add(&cls);
+  ChainedClassEnv env(&self, &lib_env_);
+  ClassCertificate cert;
+  ASSERT_TRUE(VerifyClass(cls, env, &cert).ok());
+
+  MethodCertificate* f = nullptr;
+  for (MethodCertificate& method : cert.methods) {
+    if (method.method_id == "f:(I)I") {
+      f = &method;
+    }
+  }
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(f->assertions.size(), 2u);
+  ASSERT_EQ(f->assertions[0].index, 1u);  // the block after the goto
+  f->assertions[0].frame.locals.clear();
+  ValidateStats stats;
+  auto validated = ValidateCertificate(cls, env, cert, &stats);
+  ASSERT_FALSE(validated.ok());
+  EXPECT_NE(validated.error().message.find("locals"), std::string::npos)
+      << validated.error().message;
 }
 
 // Systematic single-field tampering: every struct-level mutation of the

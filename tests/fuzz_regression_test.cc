@@ -16,8 +16,10 @@
 #include "fuzz/oracles.h"
 #include "src/bytecode/builder.h"
 #include "src/bytecode/serializer.h"
+#include "src/rewrite/filter.h"
 #include "src/runtime/machine.h"
 #include "src/runtime/syslib.h"
+#include "src/services/monitor_service.h"
 #include "src/services/verify_service.h"
 #include "src/verifier/class_env.h"
 #include "src/verifier/verifier.h"
@@ -50,7 +52,7 @@ TEST(FuzzCorpus, CorpusIsClean) {
     EXPECT_TRUE(violation.empty()) << entry.path().filename() << ": " << violation;
     count++;
   }
-  EXPECT_GE(count, 17u) << "corpus unexpectedly small — regenerate with "
+  EXPECT_GE(count, 18u) << "corpus unexpectedly small — regenerate with "
                            "`dvm_fuzz gen-regressions tests/corpus`";
 }
 
@@ -123,6 +125,25 @@ TEST_F(VerifierBugCrop, CatchTypeMustBeThrowable) {
   EXPECT_EQ(result.error().code, ErrorCode::kVerifyError);
   EXPECT_NE(result.error().message.find("non-throwable"), std::string::npos)
       << result.error().message;
+}
+
+// `iconst_0; goto 0` grows the stack on every trip round the loop. The
+// verifier rejects it, but a proxy running without verification in front
+// hands it straight to the audit rewriter, whose max-stack propagation used
+// to climb without end. It now stops with kCapacity once a depth passes 65535.
+TEST_F(VerifierBugCrop, StackGrowthLoopFailsClosedWithoutVerification) {
+  auto verified = VerifyCorpusInput("stack_growth_loop.bin");
+  ASSERT_FALSE(verified.ok());
+  EXPECT_NE(verified.error().message.find("inconsistent stack depth"), std::string::npos)
+      << verified.error().message;
+
+  FilterPipeline unverified(&lib_env_);
+  unverified.Add(std::make_unique<AuditFilter>());
+  auto rewritten = unverified.Run(
+      ReadFileBytes(std::filesystem::path(DVM_CORPUS_DIR) / "stack_growth_loop.bin"));
+  ASSERT_FALSE(rewritten.ok());
+  EXPECT_EQ(rewritten.error().code, ErrorCode::kCapacity);
+  EXPECT_EQ(rewritten.error().message, "max stack exceeds 65535");
 }
 
 class FuzzRegressionTest : public ::testing::Test {

@@ -77,7 +77,7 @@ TEST_P(OpcodeRoundTripTest, EncodeDecodeRoundTrips) {
   ASSERT_TRUE(encoded.ok()) << encoded.error().ToString();
   auto decoded = DecodeCode(*encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.error().ToString();
-  EXPECT_EQ(*decoded, code);
+  EXPECT_EQ(decoded->instrs, code);
   EXPECT_EQ(static_cast<int>((*encoded).size()),
             InstructionLength(op) + InstructionLength(Op::kReturn));
 }

@@ -2,10 +2,12 @@
 
 #include "src/bytecode/builder.h"
 #include "src/bytecode/serializer.h"
+#include "src/bytecode/stack_effect.h"
 #include "src/rewrite/filter.h"
 #include "src/rewrite/method_editor.h"
 #include "src/runtime/machine.h"
 #include "src/runtime/syslib.h"
+#include "src/services/monitor_service.h"
 #include "src/verifier/verifier.h"
 
 namespace dvm {
@@ -168,6 +170,62 @@ TEST(MethodEditorTest, OpenFailsOnBodylessMethod) {
   cb.AddNativeMethod(AccessFlags::kStatic, "n", "()V");
   ClassFile cls = MustBuild(cb);
   EXPECT_FALSE(MethodEditor::Open(&cls, cls.FindMethod("n", "()V")).ok());
+}
+
+// `iconst_0; goto 0`: every trip round the loop pushes one more int, so the
+// depth never settles. Assembled by hand, since the builder runs the same
+// max-stack propagation and now refuses the body.
+ClassFile BuildStackGrowthLoop() {
+  ClassBuilder cb("rw/Grow", "java/lang/Object");
+  cb.AddMethod(AccessFlags::kStatic | AccessFlags::kPublic, "f", "()V").Emit(Op::kReturn);
+  ClassFile cls = MustBuild(cb);
+  MethodInfo* method = cls.FindMethod("f", "()V");
+  method->code->code = EncodeCode({{Op::kIconst0, 0, 0}, {Op::kGoto, 0, 0}}).value();
+  method->code->max_stack = 1;
+  return cls;
+}
+
+TEST(MaxStackDepthTest, StackGrowingLoopFailsWithCapacity) {
+  ClassFile cls = BuildStackGrowthLoop();
+  std::vector<Instr> loop = {{Op::kIconst0, 0, 0}, {Op::kGoto, 0, 0}};
+  auto depth = ComputeMaxStackDepth(loop, cls.pool(), {});
+  ASSERT_FALSE(depth.ok());
+  EXPECT_EQ(depth.error().code, ErrorCode::kCapacity);
+  EXPECT_EQ(depth.error().message, "max stack exceeds 65535");
+}
+
+TEST(MaxStackDepthTest, HandlerEntriesStartWithTheThrownReference) {
+  ClassFile cls = BuildLoopClass();
+  std::vector<Instr> body = {{Op::kReturn, 0, 0}, {Op::kPop, 0, 0}, {Op::kReturn, 0, 0}};
+  auto depth = ComputeMaxStackDepth(body, cls.pool(), {1});
+  ASSERT_TRUE(depth.ok()) << depth.error().ToString();
+  EXPECT_EQ(*depth, 1);
+  auto without_handler = ComputeMaxStackDepth(body, cls.pool(), {});
+  ASSERT_TRUE(without_handler.ok());  // the pop is unreachable without the handler edge
+  EXPECT_EQ(*without_handler, 0);
+}
+
+TEST(MaxStackDepthTest, BuilderRefusesStackGrowingLoop) {
+  ClassBuilder cb("rw/Grow", "java/lang/Object");
+  MethodBuilder& m = cb.AddMethod(AccessFlags::kStatic | AccessFlags::kPublic, "f", "()V");
+  Label top = m.NewLabel();
+  m.Bind(top).PushInt(0).Branch(Op::kGoto, top);
+  auto built = cb.Build();
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.error().code, ErrorCode::kCapacity);
+}
+
+// The audit rewriter on unverified code (a proxy with verification off, or
+// audit stacked without verification in front) used to spin forever on this
+// body; it must fail closed instead.
+TEST(AuditFilterTest, StackGrowingLoopFailsClosed) {
+  MapClassEnv env;
+  FilterPipeline pipeline(&env);
+  pipeline.Add(std::make_unique<AuditFilter>());
+  auto result = pipeline.Run(BuildStackGrowthLoop());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, ErrorCode::kCapacity);
+  EXPECT_EQ(result.error().message, "max stack exceeds 65535");
 }
 
 // --- filter pipeline -------------------------------------------------------------

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "src/bytecode/builder.h"
+#include "src/bytecode/code.h"
+#include "src/verifier/dataflow.h"
 #include "src/verifier/link_checker.h"
 #include "src/verifier/typestate.h"
 #include "src/verifier/verifier.h"
@@ -401,6 +403,67 @@ TEST_F(VerifierTest, CountsChecksMonotonically) {
 }
 
 // --- Typestate unit behaviour -------------------------------------------------
+
+// Phase 2's exception-table checks read the dense pc map: a pc past the end
+// of the code must read as "no instruction", never out of bounds.
+class HandlerRangeTest : public ::testing::Test {
+ protected:
+  // `iconst_0; pop; sipush 7; pop; return` = 8 bytes, starts at 0, 1, 2, 5, 6.
+  Result<DecodedCode> Phase2With(uint16_t start_pc, uint16_t end_pc, uint16_t handler_pc) {
+    ClassBuilder cb("app/H", "java/lang/Object");
+    cb.AddMethod(AccessFlags::kStatic | AccessFlags::kPublic, "f", "()V").Emit(Op::kReturn);
+    cls_ = MustBuild(cb);
+    MethodInfo* method = cls_.FindMethod("f", "()V");
+    method->code->code = EncodeCode({{Op::kIconst0, 0, 0},
+                                     {Op::kPop, 0, 0},
+                                     {Op::kSipush, 7, 0},
+                                     {Op::kPop, 0, 0},
+                                     {Op::kReturn, 0, 0}})
+                             .value();
+    method->code->max_stack = 1;
+    method->code->handlers = {{start_pc, end_pc, handler_pc, 0}};
+    VerifyStats stats;
+    return Phase2(cls_, *method, &stats);
+  }
+
+  static constexpr uint16_t kCodeLength = 7;
+  ClassFile cls_;
+};
+
+TEST_F(HandlerRangeTest, EndPcAtCodeLengthIsAccepted) {
+  auto mc = Phase2With(0, kCodeLength, 6);
+  ASSERT_TRUE(mc.ok()) << mc.error().ToString();
+  EXPECT_EQ(mc->offsets.back(), kCodeLength);
+  EXPECT_EQ(mc->IndexAt(kCodeLength), 5);
+}
+
+TEST_F(HandlerRangeTest, PcsPastTheEndAreRejected) {
+  const std::string kRange = "exception handler has invalid code range in f:()V";
+  for (uint16_t past : {uint16_t{kCodeLength + 1}, uint16_t{100}, uint16_t{0xFFFF}}) {
+    SCOPED_TRACE(past);
+    auto start = Phase2With(past, 0xFFFF, 0);
+    ASSERT_FALSE(start.ok());
+    EXPECT_EQ(start.error().message, kRange);
+    auto handler = Phase2With(0, kCodeLength, past);
+    ASSERT_FALSE(handler.ok());
+    EXPECT_EQ(handler.error().message, kRange);
+    auto end = Phase2With(0, past, 0);
+    ASSERT_FALSE(end.ok());
+    EXPECT_EQ(end.error().message, kRange);
+  }
+}
+
+TEST_F(HandlerRangeTest, CodeLengthIsNotAnInstructionStart) {
+  EXPECT_FALSE(Phase2With(kCodeLength, 0xFFFF, 0).ok());  // start at the end
+  EXPECT_FALSE(Phase2With(0, kCodeLength, kCodeLength).ok());  // handler at the end
+}
+
+TEST_F(HandlerRangeTest, MidInstructionPcsAreRejected) {
+  EXPECT_FALSE(Phase2With(0, kCodeLength, 3).ok());  // handler inside the sipush
+  EXPECT_FALSE(Phase2With(4, kCodeLength, 0).ok());  // start inside the sipush
+  EXPECT_FALSE(Phase2With(0, 3, 0).ok());            // end inside the sipush
+  EXPECT_TRUE(Phase2With(2, 5, 6).ok());             // exactly the sipush
+}
 
 TEST_F(VerifierTest, MergeOfSiblingsIsCommonAncestor) {
   ClassBuilder a("app/A", "java/lang/Object");

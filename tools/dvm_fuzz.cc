@@ -266,6 +266,15 @@ Bytes CatchNonThrowable() {
   return MustWriteClassFile(cls);
 }
 
+// A loop whose every trip pushes one more int: `iconst_0; goto 0`. The
+// verifier rejects it (stack depth differs at the merge), but a pipeline
+// without verification in front hands it straight to the rewriters, whose
+// max-stack propagation used to climb forever instead of failing.
+Bytes StackGrowthLoop() {
+  return MustWriteClassFile(
+      HandAssembled("()V", {{Op::kIconst0, 0, 0}, {Op::kGoto, 0, 0}}, 1, 1));
+}
+
 struct RegressionInput {
   const char* name;
   Bytes (*make)();
@@ -289,6 +298,7 @@ const RegressionInput kRegressions[] = {
     {"handler_overflow.bin", HandlerOverflow},
     {"cyclic_super_athrow.bin", CyclicSuperAthrow},
     {"catch_nonthrowable.bin", CatchNonThrowable},
+    {"stack_growth_loop.bin", StackGrowthLoop},
 };
 
 // Coarse outcome bucket used by `min` to preserve behaviour while shrinking.
