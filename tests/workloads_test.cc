@@ -48,6 +48,13 @@ struct Fig5Case {
   uint64_t size_kb;  // Figure 5 wire size
 };
 
+// gtest would otherwise print the raw struct bytes (pointers and padding),
+// which change with every process under ASLR and so rename the ctest cases on
+// every build.
+void PrintTo(const Fig5Case& c, std::ostream* os) {
+  *os << c.name << " (" << c.classes << " classes, " << c.size_kb << " KB)";
+}
+
 class Fig5AppTest : public ::testing::TestWithParam<Fig5Case> {};
 
 TEST_P(Fig5AppTest, MatchesFigure5ShapeAndRuns) {
