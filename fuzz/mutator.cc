@@ -241,7 +241,7 @@ MethodCertificate* AssertedMethod(ClassCertificate& cert, Rng& rng) {
 // Tampers with one frame slot. Widening to Top looks sound (every edge frame
 // still fits) — only the validator's exact-join check can reject it, which is
 // exactly what this mutation probes.
-void PerturbSlot(VType& slot, Rng& rng) {
+void PerturbSlot(VType& slot, TypeNames& names, Rng& rng) {
   switch (rng.Below(4)) {
     case 0:
       slot = VType::Top();
@@ -250,7 +250,8 @@ void PerturbSlot(VType& slot, Rng& rng) {
       slot = slot.kind == VType::Kind::kInt ? VType::Long() : VType::Int();
       break;
     case 2:
-      slot = VType::Ref(slot.kind == VType::Kind::kRef ? slot.name() + "X" : "java/lang/Object");
+      slot = slot.kind == VType::Kind::kRef ? names.Ref(names.Name(slot.sym) + "X")
+                                            : VType::Object();
       break;
     default:
       slot = VType::Null();
@@ -280,7 +281,8 @@ Bytes MutateCertificateBytes(const Bytes& cert, Rng& rng) {
           if (m != nullptr) {
             Frame& f = m->assertions[rng.Below(static_cast<uint32_t>(m->assertions.size()))].frame;
             if (!f.locals.empty()) {
-              PerturbSlot(f.locals[rng.Below(static_cast<uint32_t>(f.locals.size()))], rng);
+              PerturbSlot(f.locals[rng.Below(static_cast<uint32_t>(f.locals.size()))], c.names,
+                          rng);
             }
           }
           break;
@@ -288,7 +290,7 @@ Bytes MutateCertificateBytes(const Bytes& cert, Rng& rng) {
           if (m != nullptr) {
             Frame& f = m->assertions[rng.Below(static_cast<uint32_t>(m->assertions.size()))].frame;
             if (!f.stack.empty() && rng.Coin()) {
-              PerturbSlot(f.stack[rng.Below(static_cast<uint32_t>(f.stack.size()))], rng);
+              PerturbSlot(f.stack[rng.Below(static_cast<uint32_t>(f.stack.size()))], c.names, rng);
             } else {
               f.stack.push_back(VType::Int());
             }

@@ -52,4 +52,10 @@ const std::string& SymbolName(uint32_t sym) {
   return t.names[sym];
 }
 
+size_t InternedSymbolCount() {
+  SymbolTable& t = Table();
+  std::shared_lock<std::shared_mutex> lock(t.mu);
+  return t.names.size() - 1;
+}
+
 }  // namespace dvm

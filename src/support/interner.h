@@ -7,6 +7,7 @@
 #ifndef SRC_SUPPORT_INTERNER_H_
 #define SRC_SUPPORT_INTERNER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -22,6 +23,9 @@ uint32_t InternSymbol(std::string_view s);
 // The string a symbol was interned from. Returns an empty string for
 // kNoSymbol or an id that was never handed out. Thread-safe.
 const std::string& SymbolName(uint32_t sym);
+
+// Number of symbols handed out so far. Thread-safe.
+size_t InternedSymbolCount();
 
 // Packs a (name, descriptor) symbol pair into one map key.
 inline uint64_t SymbolPairKey(uint32_t a, uint32_t b) {

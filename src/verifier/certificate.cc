@@ -13,19 +13,19 @@ constexpr uint32_t kCertMagic = 0x44564331;
 Error Verr(const std::string& message) { return Error{ErrorCode::kVerifyError, message}; }
 Error Perr(const std::string& message) { return Error{ErrorCode::kParseError, message}; }
 
-void WriteVType(ByteWriter& w, const VType& t) {
+void WriteVType(ByteWriter& w, const VType& t, const TypeNames& names) {
   w.U8(static_cast<uint8_t>(t.kind));
   // Only reference-like kinds carry a payload; writing nothing for the rest
   // keeps the encoding canonical (one byte string for every frame).
   if (t.kind == VType::Kind::kRef || t.kind == VType::Kind::kUninit) {
-    w.Str(t.name());
+    w.Str(names.Name(t.sym));
   }
   if (t.kind == VType::Kind::kUninit) {
     w.I32(t.site);
   }
 }
 
-Result<VType> ReadVType(ByteReader& r) {
+Result<VType> ReadVType(ByteReader& r, TypeNames& names) {
   DVM_ASSIGN_OR_RETURN(uint8_t raw_kind, r.U8());
   if (raw_kind > static_cast<uint8_t>(VType::Kind::kUninit)) {
     return Perr("certificate type kind out of range");
@@ -37,7 +37,7 @@ Result<VType> ReadVType(ByteReader& r) {
     if (name.empty()) {
       return Perr("certificate reference type without a class name");
     }
-    t.sym = InternSymbol(name);
+    t.sym = names.Intern(name);
   }
   if (t.kind == VType::Kind::kUninit) {
     DVM_ASSIGN_OR_RETURN(t.site, r.I32());
@@ -48,18 +48,18 @@ Result<VType> ReadVType(ByteReader& r) {
   return t;
 }
 
-void WriteFrame(ByteWriter& w, const Frame& frame) {
+void WriteFrame(ByteWriter& w, const Frame& frame, const TypeNames& names) {
   w.U32(static_cast<uint32_t>(frame.locals.size()));
   for (const VType& t : frame.locals) {
-    WriteVType(w, t);
+    WriteVType(w, t, names);
   }
   w.U32(static_cast<uint32_t>(frame.stack.size()));
   for (const VType& t : frame.stack) {
-    WriteVType(w, t);
+    WriteVType(w, t, names);
   }
 }
 
-Result<Frame> ReadFrame(ByteReader& r) {
+Result<Frame> ReadFrame(ByteReader& r, TypeNames& names) {
   Frame frame;
   DVM_ASSIGN_OR_RETURN(uint32_t locals, r.U32());
   if (locals > r.remaining()) {  // each VType is at least one byte
@@ -67,7 +67,7 @@ Result<Frame> ReadFrame(ByteReader& r) {
   }
   frame.locals.reserve(locals);
   for (uint32_t i = 0; i < locals; i++) {
-    DVM_ASSIGN_OR_RETURN(VType t, ReadVType(r));
+    DVM_ASSIGN_OR_RETURN(VType t, ReadVType(r, names));
     frame.locals.push_back(t);
   }
   DVM_ASSIGN_OR_RETURN(uint32_t stack, r.U32());
@@ -76,31 +76,16 @@ Result<Frame> ReadFrame(ByteReader& r) {
   }
   frame.stack.reserve(stack);
   for (uint32_t i = 0; i < stack; i++) {
-    DVM_ASSIGN_OR_RETURN(VType t, ReadVType(r));
+    DVM_ASSIGN_OR_RETURN(VType t, ReadVType(r, names));
     frame.stack.push_back(t);
   }
   return frame;
 }
 
-bool SameAssumption(const Assumption& a, const Assumption& b) {
-  return a.kind == b.kind && a.scope == b.scope && a.method_id == b.method_id &&
-         a.target_class == b.target_class && a.member_name == b.member_name &&
-         a.descriptor == b.descriptor && a.expected_class == b.expected_class;
-}
-
 }  // namespace
 
 bool operator==(const ClassCertificate& a, const ClassCertificate& b) {
-  if (a.class_name != b.class_name || !(a.methods == b.methods) ||
-      a.assumptions.size() != b.assumptions.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.assumptions.size(); i++) {
-    if (!SameAssumption(a.assumptions[i], b.assumptions[i])) {
-      return false;
-    }
-  }
-  return true;
+  return SerializeCertificate(a) == SerializeCertificate(b);
 }
 
 Bytes SerializeCertificate(const ClassCertificate& cert) {
@@ -113,7 +98,7 @@ Bytes SerializeCertificate(const ClassCertificate& cert) {
     w.U32(static_cast<uint32_t>(method.assertions.size()));
     for (const FrameAssertion& assertion : method.assertions) {
       w.U32(assertion.index);
-      WriteFrame(w, assertion.frame);
+      WriteFrame(w, assertion.frame, cert.names);
     }
   }
   w.U32(static_cast<uint32_t>(cert.assumptions.size()));
@@ -154,7 +139,7 @@ Result<ClassCertificate> ParseCertificate(const Bytes& data) {
       if (!method.assertions.empty() && assertion.index <= method.assertions.back().index) {
         return Perr("certificate assertion indices not strictly increasing");
       }
-      DVM_ASSIGN_OR_RETURN(assertion.frame, ReadFrame(r));
+      DVM_ASSIGN_OR_RETURN(assertion.frame, ReadFrame(r, cert.names));
       method.assertions.push_back(std::move(assertion));
     }
     cert.methods.push_back(std::move(method));
@@ -219,6 +204,7 @@ Status ValidateMethod(const ClassFile& cls, const MethodInfo& method, const Deco
   }
 
   AbstractInterpreter interp(cls, method, mc, env, pool, &stats->validate_checks, assumptions);
+  TypeNames& names = pool.names();
   FrameTable& shadow = scratch.frames;
   shadow.Reset(count);
 
@@ -229,7 +215,7 @@ Status ValidateMethod(const ClassFile& cls, const MethodInfo& method, const Deco
                   std::to_string(target) + " has no certificate assertion");
     }
     stats->validate_checks++;
-    if (!FrameFits(frame, *asserted[target], env)) {
+    if (!FrameFits(frame, *asserted[target], env, names)) {
       return Verr(cls.name() + "." + method.Id() + ": edge frame does not fit certificate "
                   "assertion @" + std::to_string(target));
     }
@@ -237,7 +223,7 @@ Status ValidateMethod(const ClassFile& cls, const MethodInfo& method, const Deco
       shadow.Set(target, frame);
     } else {
       bool changed = false;
-      MergeFrames(shadow[target], frame, env, &changed);
+      MergeFrames(shadow[target], frame, env, names, &changed);
     }
     return Status::Ok();
   };
@@ -305,8 +291,11 @@ Status ValidateCertificate(const ClassFile& cls, const ClassEnv& env,
   DVM_RETURN_IF_ERROR(
       CheckSuperclass(cls, env, &stats->verify.phase1_checks, &derived));
 
-  ResolvedPool pool(cls);
-  ScratchLease scratch;
+  // The certificate's frames name their types in cert.names; the class's
+  // types join them in a copy that lives as long as this call.
+  TypeNames names = cert.names;
+  ResolvedPool pool(cls, names);
+  DataflowScratch scratch;
   size_t next_method = 0;
   for (const auto& method : cls.methods) {
     if (!method.code.has_value()) {
@@ -319,7 +308,7 @@ Status ValidateCertificate(const ClassFile& cls, const ClassEnv& env,
     }
     DVM_ASSIGN_OR_RETURN(DecodedCode mc, Phase2(cls, method, &stats->verify));
     DVM_RETURN_IF_ERROR(ValidateMethod(cls, method, mc, env, pool, cert.methods[next_method],
-                                       *scratch, stats, &derived));
+                                       scratch, stats, &derived));
     next_method++;
   }
   stats->validate_checks++;

@@ -35,16 +35,12 @@ namespace dvm {
 struct FrameAssertion {
   uint32_t index = 0;  // instruction index (not byte offset)
   Frame frame;
-
-  bool operator==(const FrameAssertion& other) const = default;
 };
 
 // Assertions for one code-bearing method, indices strictly increasing.
 struct MethodCertificate {
   std::string method_id;
   std::vector<FrameAssertion> assertions;
-
-  bool operator==(const MethodCertificate& other) const = default;
 };
 
 struct ClassCertificate {
@@ -54,8 +50,12 @@ struct ClassCertificate {
   // The class's deduplicated link-time assumptions (phase-4 work), exactly as
   // VerifyClass reports them.
   std::vector<Assumption> assumptions;
+  // Names of the reference types in the frames above.
+  TypeNames names;
 };
 
+// Equal canonical encodings: frames compare by the names their types carry,
+// whatever order their name tables hold them in.
 bool operator==(const ClassCertificate& a, const ClassCertificate& b);
 
 // Canonical big-endian encoding: serialize ∘ parse is the identity on valid

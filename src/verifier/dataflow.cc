@@ -5,24 +5,9 @@
 namespace dvm {
 namespace {
 
-constexpr const char* kObject = "java/lang/Object";
 constexpr const char* kThrowable = "java/lang/Throwable";
 
 Error Verr(const std::string& message) { return Error{ErrorCode::kVerifyError, message}; }
-
-// Types the transfer function produces without consulting the pool.
-struct KnownTypes {
-  VType object = VType::Ref(kObject);
-  VType string = VType::Ref("java/lang/String");
-  VType throwable = VType::Ref(kThrowable);
-  VType int_array = VType::Ref("[I");
-  VType long_array = VType::Ref("[J");
-};
-
-const KnownTypes& Known() {
-  static const KnownTypes known;
-  return known;
-}
 
 }  // namespace
 
@@ -154,7 +139,7 @@ Status CheckSuperclass(const ClassFile& cls, const ClassEnv& env, uint64_t* chec
 // Phase 3: the abstract transfer function.
 // ---------------------------------------------------------------------------
 
-ResolvedPool::ResolvedPool(const ClassFile& cls) {
+ResolvedPool::ResolvedPool(const ClassFile& cls, TypeNames& names) : names_(names) {
   const ConstantPool& pool = cls.pool();
   slot_.assign(pool.size(), 0);
   for (size_t i = 1; i < pool.size(); i++) {
@@ -162,8 +147,8 @@ ResolvedPool::ResolvedPool(const ClassFile& cls) {
     if (pool.HasTag(index, CpTag::kClass)) {
       ClassRef entry;
       entry.name = pool.ClassNameAt(index).value();
-      entry.type = VType::Ref(entry.name);
-      entry.array_type = VType::Ref("[" + DescriptorFromClassName(entry.name));
+      entry.type = names.Ref(entry.name);
+      entry.array_type = names.Ref("[" + DescriptorFromClassName(entry.name));
       slot_[i] = static_cast<uint32_t>(classes_.size());
       classes_.push_back(std::move(entry));
       continue;
@@ -175,14 +160,14 @@ ResolvedPool::ResolvedPool(const ClassFile& cls) {
     Member entry;
     entry.ref = field ? pool.FieldRefAt(index).value() : pool.MethodRefAt(index).value();
     if (field) {
-      entry.type = VType::FromDescriptor(entry.ref.descriptor);
+      entry.type = names.FromDescriptor(entry.ref.descriptor);
     } else {
       entry.sig = ParseMethodDescriptor(entry.ref.descriptor);
       if (entry.sig.ok()) {
         for (const std::string& param : entry.sig->params) {
-          entry.params.push_back(VType::FromDescriptor(param));
+          entry.params.push_back(names.FromDescriptor(param));
         }
-        entry.ret = VType::FromDescriptor(entry.sig->return_type);
+        entry.ret = names.FromDescriptor(entry.sig->return_type);
       }
       entry.is_init = entry.ref.member_name == "<init>";
     }
@@ -191,51 +176,15 @@ ResolvedPool::ResolvedPool(const ClassFile& cls) {
   }
 }
 
-VType ResolvedPool::ArrayElement(const VType& array) const {
-  for (const auto& [sym, element] : elements_) {
-    if (sym == array.sym) {
-      return element;
-    }
-  }
-  VType element = VType::FromDescriptor(ArrayElementDescriptor(array.name()));
-  elements_.emplace_back(array.sym, element);
-  return element;
-}
-
-size_t FrameTable::Capacity() const {
-  size_t slots = 0;
-  for (const Frame& frame : frames_) {
-    slots += frame.locals.capacity() + frame.stack.capacity();
-  }
-  return slots;
-}
-
-namespace {
-
-DataflowScratch& ThreadScratch() {
-  thread_local DataflowScratch scratch;
-  return scratch;
-}
-
-}  // namespace
-
-ScratchLease::ScratchLease() : scratch_(ThreadScratch()) {}
-
-ScratchLease::~ScratchLease() {
-  if (scratch_.frames.Capacity() > kRetainedSlots) {
-    scratch_ = DataflowScratch{};
-  }
-}
-
 AbstractInterpreter::AbstractInterpreter(const ClassFile& cls, const MethodInfo& method,
                                          const DecodedCode& mc, const ClassEnv& env,
                                          const ResolvedPool& pool, uint64_t* checks,
                                          std::vector<Assumption>* assumptions)
-    : cls_(cls), method_(method), mc_(mc), env_(env), pool_(pool), checks_(checks),
-      assumptions_(assumptions),
+    : cls_(cls), method_(method), mc_(mc), env_(env), pool_(pool), names_(pool.names()),
+      checks_(checks), assumptions_(assumptions),
       // Phase 2 already rejected malformed descriptors.
       sig_(ParseMethodDescriptor(method.descriptor).value()),
-      return_type_(VType::FromDescriptor(sig_.return_type)),
+      return_type_(names_.FromDescriptor(sig_.return_type)),
       method_id_(method.Id()) {}
 
 void AbstractInterpreter::Assume(Assumption a) {
@@ -270,7 +219,7 @@ Status AbstractInterpreter::PopKind(Frame& frame, size_t index, VType::Kind kind
   DVM_ASSIGN_OR_RETURN(VType t, Pop(frame, index));
   Check();
   if (t.kind != kind) {
-    return Fail(index, std::string("expected ") + what + ", found " + t.ToString());
+    return Fail(index, std::string("expected ") + what + ", found " + names_.ToString(t));
   }
   return Status::Ok();
 }
@@ -279,7 +228,7 @@ Status AbstractInterpreter::PopRefLike(Frame& frame, size_t index, VType* out) {
   DVM_ASSIGN_OR_RETURN(VType t, Pop(frame, index));
   Check();
   if (!t.IsRefLike()) {
-    return Fail(index, "expected reference, found " + t.ToString());
+    return Fail(index, "expected reference, found " + names_.ToString(t));
   }
   *out = t;
   return Status::Ok();
@@ -293,24 +242,25 @@ Status AbstractInterpreter::PopAssignable(Frame& frame, size_t index, const VTyp
     case VType::Kind::kInt:
     case VType::Kind::kLong:
       if (t.kind != want.kind) {
-        return Fail(index, "expected " + want.ToString() + ", found " + t.ToString());
+        return Fail(index, "expected " + names_.ToString(want) + ", found " + names_.ToString(t));
       }
       return Status::Ok();
     case VType::Kind::kRef: {
       if (!t.IsRefLike()) {
-        return Fail(index, "expected reference " + want.name() + ", found " + t.ToString());
+        return Fail(index, "expected reference " + names_.Name(want.sym) + ", found " +
+                               names_.ToString(t));
       }
-      switch (IsAssignable(t, want.name(), env_)) {
+      switch (IsAssignable(t, names_.Name(want.sym), env_, names_)) {
         case Assignability::kYes:
           return Status::Ok();
         case Assignability::kNo:
-          return Fail(index, t.ToString() + " is not assignable to " + want.name());
+          return Fail(index, names_.ToString(t) + " is not assignable to " + names_.Name(want.sym));
         case Assignability::kUnknown: {
           Assumption a;
           a.kind = AssumptionKind::kAssignable;
           a.scope = AssumptionScope::kMethod;
-          a.target_class = t.name();
-          a.expected_class = want.name();
+          a.target_class = names_.Name(t.sym);
+          a.expected_class = names_.Name(want.sym);
           Assume(std::move(a));
           return Status::Ok();
         }
@@ -338,7 +288,7 @@ Result<VType> AbstractInterpreter::GetLocal(const Frame& frame, size_t index, in
   const VType& t = frame.locals[static_cast<size_t>(slot)];
   if (t.kind != want) {
     return Fail(index, std::string("local ") + std::to_string(slot) + " is not " + what +
-                           " (found " + t.ToString() + ")");
+                           " (found " + names_.ToString(t) + ")");
   }
   return t;
 }
@@ -450,10 +400,10 @@ Frame AbstractInterpreter::EntryFrame() const {
   frame.locals.assign(method_.code->max_locals, VType::Top());
   size_t slot = 0;
   if (!method_.IsStatic()) {
-    frame.locals[slot++] = VType::Ref(cls_.name());
+    frame.locals[slot++] = pool_.class_ref(cls_.this_class).type;
   }
   for (const auto& param : sig_.params) {
-    frame.locals[slot++] = VType::FromDescriptor(param);
+    frame.locals[slot++] = names_.FromDescriptor(param);
   }
   return frame;
 }
@@ -477,12 +427,12 @@ Result<std::span<const AbstractInterpreter::HandlerEdge>> AbstractInterpreter::H
     // Phase 2 checked the catch type's tag.
     const ResolvedPool::ClassRef* catch_ref =
         h.catch_type != 0 ? &pool_.class_ref(h.catch_type) : nullptr;
-    VType caught = catch_ref != nullptr ? catch_ref->type : Known().throwable;
+    VType caught = catch_ref != nullptr ? catch_ref->type : VType::Ref(kThrowableSym);
     // A catch type that provably isn't a Throwable can never be thrown; the
     // handler entry state it would imply is a fiction.
     Check();
     if (catch_ref != nullptr && catch_ref->name != kThrowable) {
-      switch (IsAssignable(caught, kThrowable, env_)) {
+      switch (IsAssignable(caught, kThrowable, env_, names_)) {
         case Assignability::kYes:
           break;
         case Assignability::kNo:
@@ -513,7 +463,6 @@ Result<std::span<const AbstractInterpreter::HandlerEdge>> AbstractInterpreter::H
 Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, Frame& frame) {
   const Instr& instr = mc_.instrs[index];
   const ConstantPool& pool = cls_.pool();
-  const KnownTypes& known = Known();
 
   StepResult out;
   out.fallthrough = !IsTerminator(instr.op);
@@ -540,7 +489,7 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       } else if (pool.HasTag(cp_index, CpTag::kLong)) {
         DVM_RETURN_IF_ERROR(Push(frame, index, VType::Long()));
       } else {
-        DVM_RETURN_IF_ERROR(Push(frame, index, known.string));
+        DVM_RETURN_IF_ERROR(Push(frame, index, VType::Ref(kStringSym)));
       }
       break;
     }
@@ -575,7 +524,7 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       DVM_ASSIGN_OR_RETURN(VType t, Pop(frame, index));
       Check();
       if (!t.IsRefLike() && t.kind != VType::Kind::kUninit) {
-        return Fail(index, "astore of non-reference " + t.ToString());
+        return Fail(index, "astore of non-reference " + names_.ToString(t));
       }
       frame.locals[static_cast<size_t>(instr.a)] = t;
       break;
@@ -585,10 +534,10 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       DVM_RETURN_IF_ERROR(PopKind(frame, index, VType::Kind::kInt, "int index"));
       VType arr;
       DVM_RETURN_IF_ERROR(PopRefLike(frame, index, &arr));
-      const VType& want = instr.op == Op::kIaload ? known.int_array : known.long_array;
+      const uint32_t want = instr.op == Op::kIaload ? kIntArraySym : kLongArraySym;
       Check();
-      if (arr.kind == VType::Kind::kRef && arr.sym != want.sym) {
-        return Fail(index, "array load type mismatch: " + arr.ToString());
+      if (arr.kind == VType::Kind::kRef && arr.sym != want) {
+        return Fail(index, "array load type mismatch: " + names_.ToString(arr));
       }
       DVM_RETURN_IF_ERROR(
           Push(frame, index, instr.op == Op::kIaload ? VType::Int() : VType::Long()));
@@ -599,13 +548,13 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       VType arr;
       DVM_RETURN_IF_ERROR(PopRefLike(frame, index, &arr));
       Check();
-      VType element = known.object;
+      VType element = VType::Object();
       if (arr.kind == VType::Kind::kRef) {
-        const std::string& name = arr.name();
-        if (!arr.IsArray() || name.size() < 2 || (name[1] != 'L' && name[1] != '[')) {
-          return Fail(index, "aaload on non-reference array " + arr.ToString());
+        const std::string& name = names_.Name(arr.sym);
+        if (!names_.IsArray(arr) || name.size() < 2 || (name[1] != 'L' && name[1] != '[')) {
+          return Fail(index, "aaload on non-reference array " + names_.ToString(arr));
         }
-        element = pool_.ArrayElement(arr);
+        element = names_.FromDescriptor(ArrayElementDescriptor(name));
       }
       DVM_RETURN_IF_ERROR(Push(frame, index, element));
       break;
@@ -619,10 +568,10 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       DVM_RETURN_IF_ERROR(PopKind(frame, index, VType::Kind::kInt, "int index"));
       VType arr;
       DVM_RETURN_IF_ERROR(PopRefLike(frame, index, &arr));
-      const VType& want = instr.op == Op::kIastore ? known.int_array : known.long_array;
+      const uint32_t want = instr.op == Op::kIastore ? kIntArraySym : kLongArraySym;
       Check();
-      if (arr.kind == VType::Kind::kRef && arr.sym != want.sym) {
-        return Fail(index, "array store type mismatch: " + arr.ToString());
+      if (arr.kind == VType::Kind::kRef && arr.sym != want) {
+        return Fail(index, "array store type mismatch: " + names_.ToString(arr));
       }
       break;
     }
@@ -634,21 +583,22 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       DVM_RETURN_IF_ERROR(PopRefLike(frame, index, &arr));
       Check();
       if (arr.kind == VType::Kind::kRef) {
-        if (!arr.IsArray()) {
-          return Fail(index, "aastore on non-array " + arr.ToString());
+        if (!names_.IsArray(arr)) {
+          return Fail(index, "aastore on non-array " + names_.ToString(arr));
         }
-        std::string elem_desc = ArrayElementDescriptor(arr.name());
+        std::string elem_desc = ArrayElementDescriptor(names_.Name(arr.sym));
         if (elem_desc[0] == 'L') {
-          switch (IsAssignable(value, ClassNameFromDescriptor(elem_desc), env_)) {
+          switch (IsAssignable(value, ClassNameFromDescriptor(elem_desc), env_, names_)) {
             case Assignability::kYes:
               break;
             case Assignability::kNo:
-              return Fail(index, value.ToString() + " not storable into " + arr.name());
+              return Fail(index, names_.ToString(value) + " not storable into " +
+                                     names_.Name(arr.sym));
             case Assignability::kUnknown: {
               Assumption a;
               a.kind = AssumptionKind::kAssignable;
               a.scope = AssumptionScope::kMethod;
-              a.target_class = value.name();
+              a.target_class = names_.Name(value.sym);
               a.expected_class = ClassNameFromDescriptor(elem_desc);
               Assume(std::move(a));
               break;
@@ -834,8 +784,8 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
             receiver.kind == VType::Kind::kUninit) {
           // Constructor call initializes every copy of this Uninit value.
           Check();
-          if (receiver.name() != method.ref.class_name) {
-            return Fail(index, "constructor class mismatch: " + receiver.ToString() + " vs " +
+          if (names_.Name(receiver.sym) != method.ref.class_name) {
+            return Fail(index, "constructor class mismatch: " + names_.ToString(receiver) + " vs " +
                                    method.ref.class_name);
           }
           VType initialized = VType::Ref(receiver.sym);
@@ -850,7 +800,7 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
             }
           }
         } else if (!receiver.IsRefLike()) {
-          return Fail(index, "invoke on non-reference " + receiver.ToString());
+          return Fail(index, "invoke on non-reference " + names_.ToString(receiver));
         }
       }
       DVM_RETURN_IF_ERROR(ResolveMethod(index, method, instr.op));
@@ -872,8 +822,9 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
     case Op::kNewarray:
       DVM_RETURN_IF_ERROR(PopKind(frame, index, VType::Kind::kInt, "array length"));
       DVM_RETURN_IF_ERROR(Push(frame, index,
-                               instr.a == static_cast<int>(ArrayKind::kLong) ? known.long_array
-                                                                             : known.int_array));
+                               VType::Ref(instr.a == static_cast<int>(ArrayKind::kLong)
+                                              ? kLongArraySym
+                                              : kIntArraySym)));
       break;
     case Op::kAnewarray: {
       const ResolvedPool::ClassRef& element = pool_.class_ref(static_cast<uint16_t>(instr.a));
@@ -889,8 +840,8 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       VType arr;
       DVM_RETURN_IF_ERROR(PopRefLike(frame, index, &arr));
       Check();
-      if (arr.kind == VType::Kind::kRef && !arr.IsArray()) {
-        return Fail(index, "arraylength on non-array " + arr.ToString());
+      if (arr.kind == VType::Kind::kRef && !names_.IsArray(arr)) {
+        return Fail(index, "arraylength on non-array " + names_.ToString(arr));
       }
       DVM_RETURN_IF_ERROR(Push(frame, index, VType::Int()));
       break;
@@ -899,16 +850,16 @@ Result<AbstractInterpreter::StepResult> AbstractInterpreter::Step(size_t index, 
       VType t;
       DVM_RETURN_IF_ERROR(PopRefLike(frame, index, &t));
       if (t.kind == VType::Kind::kRef) {
-        switch (IsAssignable(t, kThrowable, env_)) {
+        switch (IsAssignable(t, kThrowable, env_, names_)) {
           case Assignability::kYes:
             break;
           case Assignability::kNo:
-            return Fail(index, "athrow of non-throwable " + t.ToString());
+            return Fail(index, "athrow of non-throwable " + names_.ToString(t));
           case Assignability::kUnknown: {
             Assumption a;
             a.kind = AssumptionKind::kAssignable;
             a.scope = AssumptionScope::kMethod;
-            a.target_class = t.name();
+            a.target_class = names_.Name(t.sym);
             a.expected_class = kThrowable;
             Assume(std::move(a));
             break;

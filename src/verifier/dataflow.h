@@ -11,7 +11,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/bytecode/classfile.h"
@@ -41,10 +40,10 @@ Status CheckSuperclass(const ClassFile& cls, const ClassEnv& env, uint64_t* chec
                        std::vector<Assumption>* assumptions);
 
 // Constant-pool entries as the transfer function consumes them, resolved once
-// per class (after phase 1 has validated the pool): names interned and
-// descriptors parsed. Stepping an instruction then reads a slot instead of
-// building strings or taking the interner's lock. Environment lookups stay
-// in the step: callers such as the proxy count every one.
+// per class (after phase 1 has validated the pool): names interned into the
+// class's TypeNames and descriptors parsed. Stepping an instruction then reads
+// a slot instead of building strings. Environment lookups stay in the step:
+// callers such as the proxy count every one.
 class ResolvedPool {
  public:
   struct ClassRef {
@@ -62,75 +61,66 @@ class ResolvedPool {
     bool is_init = false;  // member_name == "<init>"
   };
 
-  explicit ResolvedPool(const ClassFile& cls);
+  // `names` receives every name the class's types use; it must outlive the
+  // pool.
+  ResolvedPool(const ClassFile& cls, TypeNames& names);
 
   // Entries by constant-pool index; phase 2 has checked the index's tag.
   const ClassRef& class_ref(uint16_t index) const { return classes_[slot_[index]]; }
   const Member& member(uint16_t index) const { return members_[slot_[index]]; }
-  // FromDescriptor(ArrayElementDescriptor(array.name())), memoized per class.
-  VType ArrayElement(const VType& array) const;
+  TypeNames& names() const { return names_; }
 
  private:
+  TypeNames& names_;
   std::vector<uint32_t> slot_;  // cp index -> position in classes_ or members_
   std::vector<ClassRef> classes_;
   std::vector<Member> members_;
-  mutable std::vector<std::pair<uint32_t, VType>> elements_;
 };
 
-// Frames indexed by instruction. Reset() empties every slot but keeps each
-// slot's vectors, so refilling the table reuses earlier allocations.
+// Frames indexed by instruction, stored back to back in one array. A slot's
+// shape is fixed when it is first set (merges keep it), so a method's frames
+// cost one growing allocation instead of two per instruction. Views stay
+// valid until the next Set().
 class FrameTable {
  public:
   void Reset(size_t count) {
-    if (frames_.size() < count) {
-      frames_.resize(count);
-    }
-    present_.assign(count, 0);
+    slots_.assign(count, Slot{});
+    types_.clear();
   }
-  bool has(size_t index) const { return present_[index] != 0; }
-  Frame& operator[](size_t index) { return frames_[index]; }
-  const Frame& operator[](size_t index) const { return frames_[index]; }
+  bool has(size_t index) const { return slots_[index].offset != kAbsent; }
+  FrameView operator[](size_t index) {
+    const Slot& slot = slots_[index];
+    VType* base = types_.data() + slot.offset;
+    return {{base, slot.locals}, {base + slot.locals, slot.stack}};
+  }
   void Set(size_t index, const Frame& frame) {
-    frames_[index] = frame;
-    present_[index] = 1;
+    slots_[index] = {types_.size(), static_cast<uint32_t>(frame.locals.size()),
+                     static_cast<uint32_t>(frame.stack.size())};
+    types_.insert(types_.end(), frame.locals.begin(), frame.locals.end());
+    types_.insert(types_.end(), frame.stack.begin(), frame.stack.end());
   }
-  // Type slots allocated across every frame, present or not.
-  size_t Capacity() const;
 
  private:
-  std::vector<Frame> frames_;
-  std::vector<uint8_t> present_;
+  static constexpr size_t kAbsent = SIZE_MAX;
+  // Frame sizes come from max_locals (16 bits) or a certificate's 32-bit
+  // counts.
+  struct Slot {
+    size_t offset = kAbsent;  // into types_
+    uint32_t locals = 0;
+    uint32_t stack = 0;
+  };
+  std::vector<Slot> slots_;
+  std::vector<VType> types_;
 };
 
-// Dataflow storage: the per-instruction frames (the fixpoint's in-frames, or
-// the validator's shadow joins), the verifier's assumption buckets and
-// worklist, the validator's asserted frames, and the frame being stepped.
+// Dataflow storage for one class: the per-instruction frames (the fixpoint's
+// in-frames, or the validator's shadow joins), the validator's asserted
+// frames, and the frame being stepped. Each method reuses the allocations of
+// the methods before it; the whole lot is freed with the class.
 struct DataflowScratch {
   FrameTable frames;
-  std::vector<std::vector<Assumption>> buckets;
-  std::vector<uint32_t> worklist;
   std::vector<const Frame*> asserted;
   Frame work;
-};
-
-// Lends the calling thread's DataflowScratch to one class's verification or
-// validation, so each method reuses the allocations of the methods and
-// classes before it. On release the scratch is emptied if it holds more than
-// kRetainedSlots types, so one huge method does not pin its frames for the
-// life of the thread. Leases on one thread must not overlap.
-class ScratchLease {
- public:
-  static constexpr size_t kRetainedSlots = size_t{1} << 20;
-
-  ScratchLease();
-  ~ScratchLease();
-  ScratchLease(const ScratchLease&) = delete;
-  ScratchLease& operator=(const ScratchLease&) = delete;
-
-  DataflowScratch& operator*() { return scratch_; }
-
- private:
-  DataflowScratch& scratch_;
 };
 
 // Abstract execution of one method's instructions over typestate frames. The
@@ -156,7 +146,7 @@ class AbstractInterpreter {
   // `checks` counts discrete phase-3 checks (the verifier points it at
   // phase3_checks, the validator at its own counter); `assumptions` receives
   // link-time assumptions stamped with this method's id. Both must outlive
-  // the interpreter; the sink can be swapped per visit.
+  // the interpreter. Types are named in pool.names().
   AbstractInterpreter(const ClassFile& cls, const MethodInfo& method, const DecodedCode& mc,
                       const ClassEnv& env, const ResolvedPool& pool, uint64_t* checks,
                       std::vector<Assumption>* assumptions);
@@ -175,8 +165,6 @@ class AbstractInterpreter {
   // not a Throwable; an unknown catch type becomes an assignability
   // assumption. The edges stay valid until the next call.
   Result<std::span<const HandlerEdge>> HandlerEdges(size_t index, const Frame& frame);
-
-  void set_assumption_sink(std::vector<Assumption>* sink) { assumptions_ = sink; }
 
  private:
   void Check() { (*checks_)++; }
@@ -200,6 +188,7 @@ class AbstractInterpreter {
   const DecodedCode& mc_;
   const ClassEnv& env_;
   const ResolvedPool& pool_;
+  TypeNames& names_;
   uint64_t* checks_;
   std::vector<Assumption>* assumptions_;
   MethodSignature sig_;

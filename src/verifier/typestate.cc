@@ -10,11 +10,6 @@ namespace {
 
 constexpr const char* kObject = "java/lang/Object";
 
-VType ObjectType() {
-  static const uint32_t sym = InternSymbol(kObject);
-  return VType::Ref(sym);
-}
-
 // Ancestor chain of `cls` within env (including cls itself), stopping at the
 // first unknown class. Returns whether the walk ended at an unknown class.
 // Hostile hierarchies can cycle (A extends B extends A); the visited set ends
@@ -88,12 +83,47 @@ bool ImplementsInterface(const std::string& cls, const std::string& iface, const
 
 }  // namespace
 
-VType VType::FromDescriptor(const std::string& desc) {
+TypeNames::TypeNames() : names_{std::string()} {
+  for (const char* name : {kObject, "java/lang/String", "java/lang/Throwable", "[I", "[J"}) {
+    Intern(name);
+  }
+}
+
+TypeNames::TypeNames(const TypeNames& other) : names_(other.names_) {
+  for (size_t i = 1; i < names_.size(); i++) {
+    ids_.emplace(names_[i], static_cast<uint32_t>(i));
+  }
+}
+
+TypeNames& TypeNames::operator=(const TypeNames& other) {
+  if (this != &other) {
+    *this = TypeNames(other);
+  }
+  return *this;
+}
+
+uint32_t TypeNames::Intern(std::string_view name) {
+  auto it = ids_.find(name);
+  if (it != ids_.end()) {
+    return it->second;
+  }
+  uint32_t sym = static_cast<uint32_t>(names_.size());
+  names_.emplace_back(name);
+  ids_.emplace(names_.back(), sym);
+  return sym;
+}
+
+const std::string& TypeNames::Name(uint32_t sym) const {
+  static const std::string kNone;
+  return sym < names_.size() ? names_[sym] : kNone;
+}
+
+VType TypeNames::FromDescriptor(const std::string& desc) {
   if (desc == "I") {
-    return Int();
+    return VType::Int();
   }
   if (desc == "J") {
-    return Long();
+    return VType::Long();
   }
   if (!desc.empty() && desc[0] == '[') {
     return Ref(desc);
@@ -101,42 +131,40 @@ VType VType::FromDescriptor(const std::string& desc) {
   if (IsReferenceDescriptor(desc)) {
     return Ref(ClassNameFromDescriptor(desc));
   }
-  return Top();
+  return VType::Top();
 }
 
-std::string VType::ToString() const {
-  switch (kind) {
-    case Kind::kTop:
+std::string TypeNames::ToString(const VType& t) const {
+  switch (t.kind) {
+    case VType::Kind::kTop:
       return "top";
-    case Kind::kInt:
+    case VType::Kind::kInt:
       return "int";
-    case Kind::kLong:
+    case VType::Kind::kLong:
       return "long";
-    case Kind::kNull:
+    case VType::Kind::kNull:
       return "null";
-    case Kind::kRef:
-      return name();
-    case Kind::kUninit:
-      return "uninit<" + name() + "@" + std::to_string(site) + ">";
+    case VType::Kind::kRef:
+      return Name(t.sym);
+    case VType::Kind::kUninit:
+      return "uninit<" + Name(t.sym) + "@" + std::to_string(t.site) + ">";
   }
   return "?";
 }
 
-Assignability IsAssignable(const VType& src, const std::string& dst_class, const ClassEnv& env) {
-  if (src.kind == VType::Kind::kNull) {
-    return Assignability::kYes;
-  }
-  if (src.kind != VType::Kind::kRef) {
-    return Assignability::kNo;
-  }
-  const std::string& src_name = src.name();
+namespace {
+
+// IsAssignable for a reference named `src_name`.
+Assignability IsAssignableName(const std::string& src_name, const std::string& dst_class,
+                               const ClassEnv& env) {
   if (src_name == dst_class || dst_class == kObject) {
     return Assignability::kYes;
   }
   // Arrays: "[X" assignable to "[Y" iff X assignable to Y (reference elements)
   // or X == Y (primitive elements).
-  if (src.IsArray() || (!dst_class.empty() && dst_class[0] == '[')) {
-    if (!src.IsArray() || dst_class.empty() || dst_class[0] != '[') {
+  bool src_array = src_name.starts_with('[');
+  if (src_array || dst_class.starts_with('[')) {
+    if (!src_array || !dst_class.starts_with('[')) {
       return Assignability::kNo;
     }
     std::string src_elem = ArrayElementDescriptor(src_name);
@@ -146,8 +174,8 @@ Assignability IsAssignable(const VType& src, const std::string& dst_class, const
     }
     if (IsReferenceDescriptor(src_elem) && IsReferenceDescriptor(dst_elem) &&
         src_elem[0] == 'L' && dst_elem[0] == 'L') {
-      return IsAssignable(VType::Ref(ClassNameFromDescriptor(src_elem)),
-                          ClassNameFromDescriptor(dst_elem), env);
+      return IsAssignableName(ClassNameFromDescriptor(src_elem),
+                              ClassNameFromDescriptor(dst_elem), env);
     }
     return Assignability::kNo;
   }
@@ -171,7 +199,20 @@ Assignability IsAssignable(const VType& src, const std::string& dst_class, const
   return Assignability::kNo;
 }
 
-VType MergeTypes(const VType& a, const VType& b, const ClassEnv& env) {
+}  // namespace
+
+Assignability IsAssignable(const VType& src, const std::string& dst_class, const ClassEnv& env,
+                           const TypeNames& names) {
+  if (src.kind == VType::Kind::kNull) {
+    return Assignability::kYes;
+  }
+  if (src.kind != VType::Kind::kRef) {
+    return Assignability::kNo;
+  }
+  return IsAssignableName(names.Name(src.sym), dst_class, env);
+}
+
+VType MergeTypes(const VType& a, const VType& b, const ClassEnv& env, TypeNames& names) {
   if (a == b) {
     return a;
   }
@@ -183,9 +224,9 @@ VType MergeTypes(const VType& a, const VType& b, const ClassEnv& env) {
     return a;
   }
   if (a.kind == Kind::kRef && b.kind == Kind::kRef) {
-    if (a.IsArray() || b.IsArray()) {
+    if (names.IsArray(a) || names.IsArray(b)) {
       // Array/array or array/class merges generalize to Object unless equal.
-      return ObjectType();
+      return VType::Object();
     }
     // Common ancestor within the known environment; unknown edges widen to
     // Object. The candidate is chosen symmetrically — minimize the deeper of
@@ -195,9 +236,9 @@ VType MergeTypes(const VType& a, const VType& b, const ClassEnv& env) {
     // acyclic single inheritance the common entries form a shared suffix of
     // both chains, so this picks the same junction the old scan did.
     std::vector<std::string> chain_a;
-    CollectChain(a.name(), env, &chain_a);
+    CollectChain(names.Name(a.sym), env, &chain_a);
     std::vector<std::string> chain_b;
-    CollectChain(b.name(), env, &chain_b);
+    CollectChain(names.Name(b.sym), env, &chain_b);
     const std::string* best = nullptr;
     size_t best_deep = 0;
     size_t best_shallow = 0;
@@ -218,36 +259,18 @@ VType MergeTypes(const VType& a, const VType& b, const ClassEnv& env) {
       }
     }
     if (best != nullptr) {
-      return VType::Ref(*best);
+      return names.Ref(*best);
     }
-    return ObjectType();
+    return VType::Object();
   }
   return VType::Top();
 }
 
-std::string Frame::ToString() const {
-  std::string out = "locals=[";
-  for (size_t i = 0; i < locals.size(); i++) {
-    if (i > 0) {
-      out += ", ";
-    }
-    out += locals[i].ToString();
-  }
-  out += "] stack=[";
-  for (size_t i = 0; i < stack.size(); i++) {
-    if (i > 0) {
-      out += ", ";
-    }
-    out += stack[i].ToString();
-  }
-  out += "]";
-  return out;
-}
-
-void MergeFrames(Frame& into, const Frame& from, const ClassEnv& env, bool* changed) {
+void MergeFrames(FrameView into, const Frame& from, const ClassEnv& env, TypeNames& names,
+                 bool* changed) {
   *changed = false;
   for (size_t i = 0; i < into.locals.size(); i++) {
-    VType merged = MergeTypes(into.locals[i], from.locals[i], env);
+    VType merged = MergeTypes(into.locals[i], from.locals[i], env, names);
     if (!(merged == into.locals[i])) {
       into.locals[i] = merged;
       *changed = true;
@@ -266,7 +289,7 @@ void MergeFrames(Frame& into, const Frame& from, const ClassEnv& env, bool* chan
     return;
   }
   for (size_t i = 0; i < into.stack.size(); i++) {
-    VType merged = MergeTypes(into.stack[i], from.stack[i], env);
+    VType merged = MergeTypes(into.stack[i], from.stack[i], env, names);
     if (!(merged == into.stack[i])) {
       into.stack[i] = merged;
       *changed = true;
@@ -274,21 +297,21 @@ void MergeFrames(Frame& into, const Frame& from, const ClassEnv& env, bool* chan
   }
 }
 
-bool FitsInto(const VType& a, const VType& b, const ClassEnv& env) {
-  return MergeTypes(a, b, env) == b;
+bool FitsInto(const VType& a, const VType& b, const ClassEnv& env, TypeNames& names) {
+  return MergeTypes(a, b, env, names) == b;
 }
 
-bool FrameFits(const Frame& a, const Frame& b, const ClassEnv& env) {
+bool FrameFits(const Frame& a, const Frame& b, const ClassEnv& env, TypeNames& names) {
   if (a.locals.size() != b.locals.size() || a.stack.size() != b.stack.size()) {
     return false;
   }
   for (size_t i = 0; i < a.locals.size(); i++) {
-    if (!FitsInto(a.locals[i], b.locals[i], env)) {
+    if (!FitsInto(a.locals[i], b.locals[i], env, names)) {
       return false;
     }
   }
   for (size_t i = 0; i < a.stack.size(); i++) {
-    if (!FitsInto(a.stack[i], b.stack[i], env)) {
+    if (!FitsInto(a.stack[i], b.stack[i], env, names)) {
       return false;
     }
   }

@@ -1,5 +1,6 @@
 #include "src/verifier/verifier.h"
 
+#include <deque>
 #include <set>
 #include <span>
 
@@ -105,10 +106,9 @@ class MethodVerifier {
   MethodVerifier(const ClassFile& cls, const MethodInfo& method, const DecodedCode& mc,
                  const ClassEnv& env, const ResolvedPool& pool, DataflowScratch& scratch,
                  VerifyStats* stats, std::vector<Assumption>* assumptions)
-      : method_(method), mc_(mc), env_(env), stats_(stats), assumptions_(assumptions),
-        in_frames_(scratch.frames), buckets_(scratch.buckets), work_(scratch.work),
-        worklist_(scratch.worklist),
-        interp_(cls, method, mc, env, pool, &stats->phase3_checks, assumptions) {}
+      : method_(method), mc_(mc), env_(env), names_(pool.names()), stats_(stats),
+        assumptions_(assumptions), in_frames_(scratch.frames), work_(scratch.work),
+        interp_(cls, method, mc, env, pool, &stats->phase3_checks, &visit_) {}
 
   Status Run();
 
@@ -130,20 +130,24 @@ class MethodVerifier {
   const MethodInfo& method_;
   const DecodedCode& mc_;
   const ClassEnv& env_;
+  TypeNames& names_;
   VerifyStats* stats_;
   std::vector<Assumption>* assumptions_;
 
   FrameTable& in_frames_;
-  // Assumptions recorded by the most recent visit of each instruction. The
-  // final visit always runs at the fixpoint in-frame (any later change would
-  // re-enqueue it), so flattening the buckets in instruction order yields
-  // exactly the assumptions a single pass over the fixpoint derives — the
-  // certificate validator recomputes and compares them.
-  std::vector<std::vector<Assumption>>& buckets_;
   Frame& work_;  // the visited instruction's frame, stepped in place
-  // FIFO of instructions to visit: entries before head_ are done.
-  std::vector<uint32_t>& worklist_;
-  size_t head_ = 0;
+  std::deque<uint32_t> worklist_;  // FIFO of instructions to visit
+  // Assumptions recorded by the most recent visit of each instruction that
+  // recorded any: buckets_[bucket_of_[i]], or none if bucket_of_[i] is
+  // kNoBucket. The final visit always runs at the fixpoint in-frame (any
+  // later change would re-enqueue it), so flattening the buckets in
+  // instruction order yields exactly the assumptions a single pass over the
+  // fixpoint derives — the certificate validator recomputes and compares
+  // them.
+  static constexpr uint32_t kNoBucket = UINT32_MAX;
+  std::vector<uint32_t> bucket_of_;
+  std::vector<std::vector<Assumption>> buckets_;
+  std::vector<Assumption> visit_;  // the current visit's assumptions
   AbstractInterpreter interp_;
 };
 
@@ -154,14 +158,14 @@ Status MethodVerifier::MergeInto(size_t target, const Frame& frame) {
     return Status::Ok();
   }
   Check();
-  Frame& into = in_frames_[target];
+  FrameView into = in_frames_[target];
   if (into.stack.size() != frame.stack.size()) {
     return Fail(target, "inconsistent stack depth at merge point (" +
                             std::to_string(into.stack.size()) + " vs " +
                             std::to_string(frame.stack.size()) + ")");
   }
   bool changed = false;
-  MergeFrames(into, frame, env_, &changed);
+  MergeFrames(into, frame, env_, names_, &changed);
   if (changed) {
     worklist_.push_back(static_cast<uint32_t>(target));
   }
@@ -169,14 +173,11 @@ Status MethodVerifier::MergeInto(size_t target, const Frame& frame) {
 }
 
 Status MethodVerifier::Transfer(size_t index) {
-  // Last-visit semantics: this visit's assumptions replace the previous
-  // visit's for this instruction.
-  buckets_[index].clear();
-  interp_.set_assumption_sink(&buckets_[index]);
+  visit_.clear();
 
   // Copied before any merge below can widen the in-frame (a handler may
   // cover its own entry).
-  work_ = in_frames_[index];
+  in_frames_[index].CopyTo(work_);
 
   // Any instruction inside a protected range contributes its locals to the
   // handler entry state (the stack is replaced by the thrown reference). A
@@ -196,33 +197,38 @@ Status MethodVerifier::Transfer(size_t index) {
   if (out.fallthrough) {
     DVM_RETURN_IF_ERROR(MergeInto(index + 1, work_));
   }
+
+  // Last-visit semantics: this visit's assumptions replace the previous
+  // visit's for this instruction.
+  uint32_t& bucket = bucket_of_[index];
+  if (bucket == kNoBucket && !visit_.empty()) {
+    bucket = static_cast<uint32_t>(buckets_.size());
+    buckets_.emplace_back();
+  }
+  if (bucket != kNoBucket) {
+    buckets_[bucket].swap(visit_);
+  }
   return Status::Ok();
 }
 
 Status MethodVerifier::Run() {
   const size_t count = mc_.instrs.size();
   in_frames_.Reset(count);
-  if (buckets_.size() < count) {
-    buckets_.resize(count);
-  }
-  for (size_t i = 0; i < count; i++) {
-    buckets_[i].clear();
-  }
+  bucket_of_.assign(count, kNoBucket);
   in_frames_.Set(0, interp_.EntryFrame());
   worklist_.assign(1, 0);
-  head_ = 0;
 
-  while (head_ < worklist_.size()) {
-    DVM_RETURN_IF_ERROR(Transfer(worklist_[head_++]));
-    if (head_ == worklist_.size()) {
-      worklist_.clear();
-      head_ = 0;
-    }
+  while (!worklist_.empty()) {
+    size_t index = worklist_.front();
+    worklist_.pop_front();
+    DVM_RETURN_IF_ERROR(Transfer(index));
   }
 
-  for (size_t i = 0; i < count; i++) {
-    for (auto& a : buckets_[i]) {
-      assumptions_->push_back(std::move(a));
+  for (uint32_t bucket : bucket_of_) {
+    if (bucket != kNoBucket) {
+      for (Assumption& a : buckets_[bucket]) {
+        assumptions_->push_back(std::move(a));
+      }
     }
   }
   return Status::Ok();
@@ -244,7 +250,7 @@ void MethodVerifier::EmitAssertions(MethodCertificate* out) const {
     }
     FrameAssertion assertion;
     assertion.index = static_cast<uint32_t>(target);
-    assertion.frame = in_frames_[target];
+    in_frames_[target].CopyTo(assertion.frame);
     out->assertions.push_back(std::move(assertion));
   }
 }
@@ -262,19 +268,24 @@ Result<VerifiedClass> VerifyClass(const ClassFile& cls, const ClassEnv& env,
   DVM_RETURN_IF_ERROR(
       CheckSuperclass(cls, env, &out.stats.phase1_checks, &out.assumptions));
 
+  // Type names live as long as this call, or as long as the certificate
+  // whose frames use them.
+  TypeNames local_names;
+  TypeNames* names = &local_names;
   if (cert_out != nullptr) {
     *cert_out = ClassCertificate{};
     cert_out->class_name = cls.name();
+    names = &cert_out->names;
   }
 
-  ResolvedPool pool(cls);
-  ScratchLease scratch;
+  ResolvedPool pool(cls, *names);
+  DataflowScratch scratch;
   for (const auto& method : cls.methods) {
     if (!method.code.has_value()) {
       continue;
     }
     DVM_ASSIGN_OR_RETURN(DecodedCode mc, Phase2(cls, method, &out.stats));
-    MethodVerifier verifier(cls, method, mc, env, pool, *scratch, &out.stats, &out.assumptions);
+    MethodVerifier verifier(cls, method, mc, env, pool, scratch, &out.stats, &out.assumptions);
     DVM_RETURN_IF_ERROR(verifier.Run());
     if (cert_out != nullptr) {
       MethodCertificate mcert;

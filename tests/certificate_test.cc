@@ -28,6 +28,7 @@
 #include "src/simnet/fault.h"
 #include "src/simnet/sim.h"
 #include "src/support/hash.h"
+#include "src/support/interner.h"
 #include "src/verifier/certificate.h"
 #include "src/verifier/verifier.h"
 #include "src/workloads/applets.h"
@@ -102,6 +103,48 @@ TEST_F(CertificateTest, RoundTripIsByteIdentical) {
   ASSERT_TRUE(reparsed.ok()) << reparsed.error().ToString();
   EXPECT_TRUE(reparsed.value() == cert);
   EXPECT_EQ(SerializeCertificate(reparsed.value()), wire);
+}
+
+// Every class verified, certified and validated here names types no other
+// class names. The names live in per-call tables, so the process-wide
+// interner must not grow: an origin serving endless fresh names cannot grow
+// the proxy that way.
+TEST_F(CertificateTest, VerificationLeavesNoSymbolsBehind) {
+  const size_t before = InternedSymbolCount();
+  for (int i = 0; i < 50; i++) {
+    const std::string id = std::to_string(i);
+    ClassBuilder cb("fresh/C" + id, "java/lang/Object");
+    cb.AddField(AccessFlags::kStatic, "f", "Lfresh/F" + id + ";");
+    MethodBuilder& m = cb.AddMethod(AccessFlags::kPublic | AccessFlags::kStatic, "run",
+                                    "(Lfresh/P" + id + ";)V");
+    Label join = m.NewLabel();
+    m.GetStatic("fresh/C" + id, "f", "Lfresh/F" + id + ";").CheckCast("fresh/K" + id);
+    m.LoadLocal("Lfresh/P" + id + ";", 0).Branch(Op::kIfnull, join);
+    m.Emit(Op::kPop).PushInt(1).ANewArray("fresh/A" + id);
+    m.Bind(join);
+    m.InvokeStatic("fresh/H" + id, "use", "(Ljava/lang/Object;)V");
+    m.Emit(Op::kReturn);
+    ClassFile cls = cb.Build().value();
+    MapClassEnv self;
+    self.Add(&cls);
+    ChainedClassEnv env(&self, &lib_env_);
+
+    ClassCertificate cert;
+    ASSERT_TRUE(VerifyClass(cls, env, &cert).ok()) << i;
+    auto reparsed = ParseCertificate(SerializeCertificate(cert));
+    ASSERT_TRUE(reparsed.ok()) << i;
+    ValidateStats stats;
+    EXPECT_TRUE(ValidateCertificate(cls, env, reparsed.value(), &stats).ok()) << i;
+
+    // A rejected class leaves nothing behind either.
+    ClassBuilder bad("fresh/Bad" + id, "java/lang/Object");
+    MethodBuilder& b = bad.AddMethod(AccessFlags::kPublic | AccessFlags::kStatic, "run",
+                                     "(Lfresh/Q" + id + ";)I");
+    b.LoadLocal("Lfresh/Q" + id + ";", 0).Emit(Op::kIreturn);
+    ClassFile bad_cls = bad.Build().value();
+    EXPECT_FALSE(VerifyClass(bad_cls, env).ok()) << i;
+  }
+  EXPECT_EQ(InternedSymbolCount(), before);
 }
 
 TEST_F(CertificateTest, ParserRejectsTrailingBytesAndBadMagic) {

@@ -56,6 +56,7 @@ class LibFixture {
 class VerifierTest : public ::testing::Test {
  protected:
   LibFixture lib_;
+  TypeNames names_;  // for the lattice tests' reference types
 };
 
 TEST_F(VerifierTest, AcceptsSimpleClass) {
@@ -477,29 +478,29 @@ TEST_F(VerifierTest, MergeOfSiblingsIsCommonAncestor) {
   env.Add(&cls_b);
   env.Add(&cls_c);
 
-  VType merged = MergeTypes(VType::Ref("app/B"), VType::Ref("app/C"), env);
-  EXPECT_EQ(merged, VType::Ref("app/A"));
+  VType merged = MergeTypes(names_.Ref("app/B"), names_.Ref("app/C"), env, names_);
+  EXPECT_EQ(merged, names_.Ref("app/A"));
 }
 
 TEST_F(VerifierTest, MergeWithNullKeepsRef) {
   MapClassEnv env;
-  EXPECT_EQ(MergeTypes(VType::Null(), VType::Ref("x/Y"), env), VType::Ref("x/Y"));
-  EXPECT_EQ(MergeTypes(VType::Int(), VType::Ref("x/Y"), env).kind, VType::Kind::kTop);
-  EXPECT_EQ(MergeTypes(VType::Int(), VType::Long(), env).kind, VType::Kind::kTop);
+  EXPECT_EQ(MergeTypes(VType::Null(), names_.Ref("x/Y"), env, names_), names_.Ref("x/Y"));
+  EXPECT_EQ(MergeTypes(VType::Int(), names_.Ref("x/Y"), env, names_).kind, VType::Kind::kTop);
+  EXPECT_EQ(MergeTypes(VType::Int(), VType::Long(), env, names_).kind, VType::Kind::kTop);
 }
 
 TEST_F(VerifierTest, AssignabilityAnswers) {
-  EXPECT_EQ(IsAssignable(VType::Null(), "anything/AtAll", lib_.env()), Assignability::kYes);
-  EXPECT_EQ(IsAssignable(VType::Ref("java/lang/Exception"), "java/lang/Throwable", lib_.env()),
+  const MapClassEnv& env = lib_.env();
+  EXPECT_EQ(IsAssignable(VType::Null(), "anything/AtAll", env, names_), Assignability::kYes);
+  EXPECT_EQ(IsAssignable(names_.Ref("java/lang/Exception"), "java/lang/Throwable", env, names_),
             Assignability::kYes);
-  EXPECT_EQ(IsAssignable(VType::Ref("java/lang/String"), "java/lang/Throwable", lib_.env()),
+  EXPECT_EQ(IsAssignable(names_.Ref("java/lang/String"), "java/lang/Throwable", env, names_),
             Assignability::kNo);
-  EXPECT_EQ(IsAssignable(VType::Ref("unknown/Cls"), "java/lang/Throwable", lib_.env()),
+  EXPECT_EQ(IsAssignable(names_.Ref("unknown/Cls"), "java/lang/Throwable", env, names_),
             Assignability::kUnknown);
-  EXPECT_EQ(IsAssignable(VType::Ref("[I"), "java/lang/Object", lib_.env()),
-            Assignability::kYes);
-  EXPECT_EQ(IsAssignable(VType::Ref("[I"), "[J", lib_.env()), Assignability::kNo);
-  EXPECT_EQ(IsAssignable(VType::Ref("[I"), "[I", lib_.env()), Assignability::kYes);
+  EXPECT_EQ(IsAssignable(names_.Ref("[I"), "java/lang/Object", env, names_), Assignability::kYes);
+  EXPECT_EQ(IsAssignable(names_.Ref("[I"), "[J", env, names_), Assignability::kNo);
+  EXPECT_EQ(IsAssignable(names_.Ref("[I"), "[I", env, names_), Assignability::kYes);
 }
 
 // The certificate validator's shadow joins fold incoming edges in whatever
@@ -520,17 +521,22 @@ TEST_F(VerifierTest, MergeTypesIsCommutative) {
   env.Add(&cls_c);
 
   const VType samples[] = {
-      VType::Top(),           VType::Int(),
-      VType::Long(),          VType::Null(),
-      VType::Ref("app/CycA"), VType::Ref("app/CycB"),
-      VType::Ref("app/Leaf"), VType::Ref("java/lang/Object"),
-      VType::Ref("no/Such"),  VType::Uninit("app/CycA", 3),
+      VType::Top(),
+      VType::Int(),
+      VType::Long(),
+      VType::Null(),
+      names_.Ref("app/CycA"),
+      names_.Ref("app/CycB"),
+      names_.Ref("app/Leaf"),
+      names_.Ref("java/lang/Object"),
+      names_.Ref("no/Such"),
+      VType::Uninit(names_.Intern("app/CycA"), 3),
   };
   for (const VType& x : samples) {
     for (const VType& y : samples) {
       // Must terminate on the cycle, and must not depend on argument order.
-      EXPECT_EQ(MergeTypes(x, y, env), MergeTypes(y, x, env))
-          << x.ToString() << " vs " << y.ToString();
+      EXPECT_EQ(MergeTypes(x, y, env, names_), MergeTypes(y, x, env, names_))
+          << names_.ToString(x) << " vs " << names_.ToString(y);
     }
   }
 }
@@ -545,11 +551,11 @@ TEST_F(VerifierTest, MergeFramesMergesLocalsOnStackDepthMismatch) {
   into.locals = {VType::Int()};
   into.stack = {VType::Int()};
   Frame from;
-  from.locals = {VType::Ref("x/Y")};
+  from.locals = {names_.Ref("x/Y")};
   from.stack = {};
 
   bool changed = false;
-  MergeFrames(into, from, env, &changed);
+  MergeFrames(into, from, env, names_, &changed);
   EXPECT_TRUE(changed);
   EXPECT_EQ(into.locals[0], VType::Top());  // Int ⊔ Ref, no longer dropped
   // The depth conflict itself surfaces as Top entries that fail the next use.
@@ -567,22 +573,22 @@ TEST_F(VerifierTest, FitsIntoMatchesMergeLattice) {
   env.Add(&cls_a);
   env.Add(&cls_b);
 
-  EXPECT_TRUE(FitsInto(VType::Ref("app/B"), VType::Ref("app/A"), env));
-  EXPECT_FALSE(FitsInto(VType::Ref("app/A"), VType::Ref("app/B"), env));
-  EXPECT_TRUE(FitsInto(VType::Null(), VType::Ref("app/A"), env));
-  EXPECT_TRUE(FitsInto(VType::Int(), VType::Top(), env));
-  EXPECT_FALSE(FitsInto(VType::Top(), VType::Int(), env));
-  EXPECT_TRUE(FitsInto(VType::Int(), VType::Int(), env));
+  EXPECT_TRUE(FitsInto(names_.Ref("app/B"), names_.Ref("app/A"), env, names_));
+  EXPECT_FALSE(FitsInto(names_.Ref("app/A"), names_.Ref("app/B"), env, names_));
+  EXPECT_TRUE(FitsInto(VType::Null(), names_.Ref("app/A"), env, names_));
+  EXPECT_TRUE(FitsInto(VType::Int(), VType::Top(), env, names_));
+  EXPECT_FALSE(FitsInto(VType::Top(), VType::Int(), env, names_));
+  EXPECT_TRUE(FitsInto(VType::Int(), VType::Int(), env, names_));
 
   Frame wide;
-  wide.locals = {VType::Ref("app/A")};
+  wide.locals = {names_.Ref("app/A")};
   Frame narrow;
-  narrow.locals = {VType::Ref("app/B")};
-  EXPECT_TRUE(FrameFits(narrow, wide, env));
-  EXPECT_FALSE(FrameFits(wide, narrow, env));
+  narrow.locals = {names_.Ref("app/B")};
+  EXPECT_TRUE(FrameFits(narrow, wide, env, names_));
+  EXPECT_FALSE(FrameFits(wide, narrow, env, names_));
   Frame deeper = narrow;
   deeper.stack.push_back(VType::Int());
-  EXPECT_FALSE(FrameFits(deeper, wide, env));  // shape mismatch never fits
+  EXPECT_FALSE(FrameFits(deeper, wide, env, names_));  // shape mismatch never fits
 }
 
 // --- Link checker (phase 4) ----------------------------------------------------
