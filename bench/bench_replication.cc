@@ -26,10 +26,9 @@
 //
 // A second scenario exercises the warm fleet (DESIGN.md §16): a profiling
 // client tiers up locally and its method profile names the fleet's hot set;
-// the replicas' CompilerFilters attach baseline-compiled blobs under a new
-// policy epoch; receiving replicas recompile-and-byte-diff every pushed blob
-// before install; and a fresh client then installs the shipped tiers with
-// zero local compiles while printing byte-identical program output.
+// the replicas' CompilerFilters attach a hot-method hint under a new policy
+// epoch; and a fresh client with production thresholds compiles exactly the
+// hinted methods at Prepare while printing byte-identical program output.
 // Stdout is byte-deterministic for a given seed; the CI replication-smoke job
 // diffs it across the timer-wheel and binary-heap EventQueue backends.
 #include <cinttypes>
@@ -45,6 +44,7 @@
 #include "src/dvm/replication.h"
 #include "src/runtime/profile.h"
 #include "src/runtime/syslib.h"
+#include "src/runtime/tiered.h"
 #include "src/support/hash.h"
 #include "src/verifier/verifier.h"
 #include "src/services/fleet_metrics.h"
@@ -361,26 +361,42 @@ RunOutcome Run(Scenario& s, const Options& opt, bool replicated,
   return out;
 }
 
-// Warm-fleet scenario: profile-guided tier-1 pre-compilation at the proxies.
+// Warm-fleet scenario: profile-guided hot-method hints at the proxies.
 // A low threshold makes even the modest applet kernels tier up during the
-// profiling pass; the fresh client keeps the production default, so the only
-// compiled code it can run is what the fleet shipped.
+// profiling pass; the fresh client keeps the production default, so every
+// method it compiles is one the fleet's hint named.
 constexpr uint64_t kProfileTierThreshold = 8;
 
 struct WarmFleetOutcome {
   bool all_ok = true;                   // every applet ran to completion
   uint64_t hot_methods = 0;             // rows fed to the compiler filters
   uint64_t profile_tier_compiles = 0;   // profiling client's local compiles
-  uint64_t tier_blobs = 0;              // blobs attached by rewriting replicas
-  uint64_t blob_checks = 0;             // replica recompile-and-byte-diff runs
-  uint64_t blob_rejects = 0;
-  uint64_t tier_installs = 0;           // fresh client: shipped tiers installed
-  uint64_t tier_compiles = 0;           // fresh client: local compiles (0!)
+  uint64_t hinted_methods = 0;          // ids in replica 0's artifact hints
+  bool hints_match_profile = true;      // each hint lists its class's hot set
+  uint64_t hinted_prepared = 0;         // fresh client: hinted methods prepared
+  uint64_t tier_compiles = 0;           // fresh client: compiles (at Prepare)
   size_t artifacts_compared = 0;
-  bool artifacts_identical = true;      // incl. the kAttrTieredCode attribute
-  bool outputs_identical = true;        // self-tiered vs shipped-tier printing
+  bool artifacts_identical = true;      // incl. the kAttrHotMethods attribute
+  bool outputs_identical = true;        // self-tiered vs hinted printing
   uint64_t output_digest = 0;
 };
+
+// Methods `registry` prepared that their own class's hot-method hint names.
+uint64_t HintedPrepared(ClassRegistry& registry) {
+  uint64_t n = 0;
+  for (const std::string& name : registry.loaded_order()) {
+    const RuntimeClass* cls = registry.FindLoaded(name);
+    const Attribute* hint =
+        cls == nullptr ? nullptr : cls->file.FindAttribute(kAttrHotMethods);
+    if (hint == nullptr) {
+      continue;
+    }
+    for (const auto& [id, prepared] : cls->prepared) {
+      n += HintNamesMethod(hint->data, id) ? 1 : 0;
+    }
+  }
+  return n;
+}
 
 WarmFleetOutcome WarmFleet(Scenario& s) {
   WarmFleetOutcome out;
@@ -442,8 +458,8 @@ WarmFleetOutcome WarmFleet(Scenario& s) {
 
   // The hot set is exactly the set of methods the profiling machine compiled:
   // final counters over the deterministic workload reproduce every tier-up
-  // decision, so the fresh client below finds a shipped blob wherever it
-  // would have compiled.
+  // decision, so the fresh client below compiles at Prepare wherever it would
+  // have compiled at run time.
   std::map<std::string, std::set<std::string>> hot;
   for (const MethodProfileRow& row : CollectMethodProfile(profiler.machine().registry())) {
     if (row.invocations < kProfileTierThreshold && row.backedges < kProfileTierThreshold) {
@@ -461,7 +477,7 @@ WarmFleetOutcome WarmFleet(Scenario& s) {
   }
 
   // Hot-set push is a policy change: a 2PC epoch round invalidates every
-  // replica, so the next fetch re-rewrites with blobs attached and replicates
+  // replica, so the next fetch re-rewrites with hints attached and replicates
   // the new artifacts fleet-wide.
   // The push must land after the profiling pass's last artifact replication:
   // the control mesh is a FIFO of SimLinks, so a 2PC round scheduled before
@@ -469,22 +485,27 @@ WarmFleetOutcome WarmFleet(Scenario& s) {
   const SimTime hot_push_at = profiler.machine().virtual_nanos() + 1 * kSecond;
   cluster.CommitPolicyUpdate(hot_push_at);
 
-  // Fresh fleet client: trusts the signed artifact chain, production tier
-  // thresholds. Every tier it runs must have come off the wire.
-  MachineConfig fresh_config = DvmMachineConfig();
-  fresh_config.trust_tiered_artifacts = true;
-  RedirectingClient fresh(s.server, nullptr, fresh_config, MakeEthernet10Mb());
+  // Fresh fleet client, production tier thresholds: the only methods it
+  // compiles are the ones the fleet's hints named.
+  RedirectingClient fresh(s.server, nullptr, DvmMachineConfig(), MakeEthernet10Mb());
   fresh.UseCluster(&cluster);
   const std::string fresh_output = run_apps(fresh, hot_push_at + 1 * kSecond);
-  out.tier_installs = fresh.machine().counters().tier_installs;
+  out.hinted_prepared = HintedPrepared(fresh.machine().registry());
   out.tier_compiles = fresh.machine().counters().tier_compiles;
   out.outputs_identical = fresh_output == profiled_output;
   out.output_digest = Fnv1a(fresh_output);
 
-  for (size_t i = 0; i < cluster.size(); i++) {
-    out.blob_checks += cluster.replica(i).stats().Value("proxy.tier_blob_checks");
-    out.blob_rejects += cluster.replica(i).stats().Value("proxy.tier_blob_rejects");
-    out.tier_blobs += compilers[i]->stats().tier_blobs;
+  // Every application class in the hot set carries a hint listing exactly
+  // its hot methods (system classes are never rewritten).
+  for (const auto& [name, ids] : hot) {
+    if (IsSystemClass(name)) {
+      continue;
+    }
+    auto artifact = cluster.replica(0).cache().Peek(DvmProxy::RewriteCacheKey(name, ""));
+    auto parsed = ReadClassFile(artifact.has_value() ? artifact->main_class : Bytes{});
+    const Attribute* hint = parsed.ok() ? parsed->FindAttribute(kAttrHotMethods) : nullptr;
+    out.hints_match_profile &= hint != nullptr && hint->data == HotMethodHint(ids);
+    out.hinted_methods += ids.size();
   }
   for (const auto& name : s.classes) {
     const std::string key = DvmProxy::RewriteCacheKey(name, "");
@@ -585,12 +606,12 @@ int main(int argc, char** argv) {
 
   WarmFleetOutcome warm = WarmFleet(scenario);
   std::printf("\nwarm fleet: hot_methods=%" PRIu64 " profile_tier_compiles=%" PRIu64
-              " tier_blobs=%" PRIu64 " blob_checks=%" PRIu64 " blob_rejects=%" PRIu64 "\n"
-              "fresh client: tier_installs=%" PRIu64 " tier_compiles=%" PRIu64
+              " hinted_methods=%" PRIu64 "\n"
+              "fresh client: hinted_prepared=%" PRIu64 " tier_compiles=%" PRIu64
               " artifacts_compared=%zu output_digest=%016" PRIx64 "\n",
-              warm.hot_methods, warm.profile_tier_compiles, warm.tier_blobs,
-              warm.blob_checks, warm.blob_rejects, warm.tier_installs,
-              warm.tier_compiles, warm.artifacts_compared, warm.output_digest);
+              warm.hot_methods, warm.profile_tier_compiles, warm.hinted_methods,
+              warm.hinted_prepared, warm.tier_compiles, warm.artifacts_compared,
+              warm.output_digest);
 
   bool ok = true;
   std::printf("\nChecks:\n");
@@ -632,15 +653,13 @@ int main(int argc, char** argv) {
              warm.all_ok);
   ok &= Gate("warm fleet: profiling pass tiers locally and names a hot set",
              warm.profile_tier_compiles > 0 && warm.hot_methods > 0);
-  ok &= Gate("warm fleet: replicas attach tiered blobs for the profiled set",
-             warm.tier_blobs > 0);
-  ok &= Gate("warm fleet: every pushed blob recompile-verified (0 rejects)",
-             warm.blob_checks > 0 && warm.blob_rejects == 0);
-  ok &= Gate("warm fleet: fresh client installs shipped tiers, 0 local compiles",
-             warm.tier_installs > 0 && warm.tier_compiles == 0);
+  ok &= Gate("warm fleet: replicas attach a hint for the profiled set",
+             warm.hinted_methods > 0 && warm.hints_match_profile);
+  ok &= Gate("warm fleet: fresh client compiles exactly the hinted methods it prepared",
+             warm.hinted_prepared > 0 && warm.tier_compiles == warm.hinted_prepared);
   ok &= Gate("warm fleet: tiered artifacts byte-identical on every replica",
              warm.artifacts_compared > 0 && warm.artifacts_identical);
-  ok &= Gate("warm fleet: shipped-tier output matches the self-tiered run",
+  ok &= Gate("warm fleet: hinted-tier output matches the self-tiered run",
              warm.outputs_identical);
 
   if (opt.check) {
@@ -655,8 +674,8 @@ int main(int argc, char** argv) {
     WarmFleetOutcome warm_again = WarmFleet(scenario);
     ok &= Gate("warm fleet reproduces identical output digest and tier counts",
                warm_again.output_digest == warm.output_digest &&
-                   warm_again.tier_installs == warm.tier_installs &&
-                   warm_again.blob_checks == warm.blob_checks);
+                   warm_again.tier_compiles == warm.tier_compiles &&
+                   warm_again.hinted_methods == warm.hinted_methods);
   }
 
   std::printf("\nA policy change is a fleet-wide commit: either every in-sync replica\n"

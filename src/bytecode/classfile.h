@@ -41,11 +41,11 @@ inline constexpr const char* kAttrSourceApp = "dvm.SourceApp";
 // Present when the compilation service translated the class to the client's
 // native format; the payload names the target platform.
 inline constexpr const char* kAttrCompiledStamp = "dvm.CompiledStamp";
-// Tier-1 compiled-code blobs produced by the proxy's CompilerFilter for hot
-// methods (DESIGN.md §16): a packed ("name:descriptor" -> blob) map, see
-// Pack/UnpackTieredAttribute in src/runtime/tiered.h. Rides the class bytes,
-// so the PR 9 digest/certificate/signature chain covers it automatically.
-inline constexpr const char* kAttrTieredCode = "dvm.TieredCode";
+// Hot-method hint produced by the proxy's CompilerFilter from the fleet's
+// profile (DESIGN.md §16): the class's hot "name:descriptor" ids, sorted and
+// joined by '\n'. Advice, not code: a tiering client compiles the named
+// methods locally at Prepare (HintNamesMethod in src/runtime/tiered.h).
+inline constexpr const char* kAttrHotMethods = "dvm.HotMethods";
 
 struct FieldInfo {
   uint16_t access_flags = 0;

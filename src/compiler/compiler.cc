@@ -159,33 +159,12 @@ Result<FilterOutcome> CompilerFilter::Apply(ClassFile& cls, const FilterContext&
   cls.SetAttribute(kAttrCompiledStamp, Bytes(platform.begin(), platform.end()));
   outcome.modified = true;
 
-  // Tier-1 pre-compilation for the fleet's hot methods: compile the final
-  // (post-peephole) bytecode and attach the blobs. BaselineCompile is a pure
-  // function of (code, pool), so every replica reproduces these bytes exactly
-  // — that byte-diff is the replica-side proof check — and the attribute rides
-  // the class bytes, so the artifact digest and certificate cover it.
+  // Hot-method hint for the fleet's profiled methods. Clients compile them
+  // locally at Prepare; the attribute rides the class bytes, so the artifact
+  // digest and certificate cover it like any other attribute.
   auto hot = hot_methods_.find(cls.name());
   if (hot != hot_methods_.end() && !hot->second.empty()) {
-    std::vector<std::pair<std::string, Bytes>> blobs;
-    for (auto& method : cls.methods) {
-      if (!method.code.has_value() || hot->second.count(method.Id()) == 0) {
-        continue;
-      }
-      DVM_ASSIGN_OR_RETURN(DecodedCode decoded, DecodeCode(method.code->code));
-      auto tiered = BaselineCompile(decoded.instrs, cls.pool(), method.code->max_stack,
-                                    method.code->max_locals);
-      if (tiered == nullptr) {
-        stats_.tier_refusals++;
-        continue;
-      }
-      tiered->checksum = Fnv1a(method.code->code);
-      blobs.emplace_back(method.Id(), SerializeTieredMethod(*tiered));
-      stats_.tier_blobs++;
-    }
-    if (!blobs.empty()) {
-      cls.SetAttribute(kAttrTieredCode, PackTieredAttribute(blobs));
-      outcome.modified = true;
-    }
+    cls.SetAttribute(kAttrHotMethods, HotMethodHint(hot->second));
   }
   return outcome;
 }

@@ -27,8 +27,6 @@ struct CompileStats {
   uint64_t instructions_processed = 0;
   uint64_t folds = 0;         // constant-folding rewrites applied
   uint64_t reductions = 0;    // strength reductions applied
-  uint64_t tier_blobs = 0;    // tier-1 compiled-code blobs attached
-  uint64_t tier_refusals = 0; // hot methods outside the tier-1 subset
 };
 
 // Peephole-optimizes one decoded method body in place. Exposed for tests and
@@ -50,12 +48,11 @@ class CompilerFilter : public CodeFilter {
   std::string name() const override { return "compiler"; }
   Result<FilterOutcome> Apply(ClassFile& cls, const FilterContext& ctx) override;
 
-  // Profile-guided tier-1 pre-compilation (DESIGN.md §16): methods named here
-  // (class name -> set of "name:descriptor", typically fed from the fleet's
-  // MethodProfileTable) get a baseline-compiled blob attached to the class in
-  // the kAttrTieredCode attribute. The blob is compiled from the final
-  // post-peephole bytecode, so a client installing it sees exactly the code it
-  // would have compiled locally.
+  // Profile-guided tier-1 hint (DESIGN.md §16): methods named here (class
+  // name -> set of "name:descriptor", typically fed from the fleet's
+  // MethodProfileTable) are listed in the class's kAttrHotMethods attribute,
+  // and a tiering client compiles them at Prepare instead of waiting for its
+  // own counters to cross the threshold.
   void SetHotMethods(std::map<std::string, std::set<std::string>> hot) {
     hot_methods_ = std::move(hot);
   }

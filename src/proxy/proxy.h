@@ -204,10 +204,7 @@ class DvmProxy {
   // in one pass (certificate.h) before installing; a certificate that does
   // not prove the pushed bytes is rejected fail-closed (no install, counted
   // in proxy.cert_rejects, audited as REPL-REJECT). Certificate-less
-  // artifacts install on the pusher's authority as before. Artifacts carrying
-  // pre-compiled tier-1 blobs (kAttrTieredCode) are additionally byte-diffed
-  // against a local recompile of the pushed bytecode; a blob this replica
-  // cannot reproduce rejects the artifact the same way (proxy.tier_blob_rejects).
+  // artifacts install on the pusher's authority as before.
   void ApplyCommitRecord(const CommitRecord& record);
 
   // Artifacts installed via ApplyCommitRecord (pushed or replayed), as
@@ -230,9 +227,7 @@ class DvmProxy {
   // certificate plane: proxy.cert_emits / cert_emit_checks /
   // cert_emit_failures (fixpoint side) and proxy.cert_validations /
   // cert_validate_checks / cert_rejects / cert_missing (one-pass install
-  // side); the tiered-code plane: proxy.tier_blob_checks /
-  // tier_blob_rejects (recompile-and-byte-diff of pushed kAttrTieredCode
-  // blobs); plus the proxy.request_cpu_nanos histogram (per-request CPU,
+  // side); plus the proxy.request_cpu_nanos histogram (per-request CPU,
   // p50/p99/max).
   const StatsRegistry& stats() const { return stats_; }
 
@@ -276,11 +271,6 @@ class DvmProxy {
                         const std::vector<std::pair<std::string, Bytes>>& extras);
   // One-pass check of a pushed artifact against its certificate.
   bool ValidatePushedArtifact(const CommitRecord& record);
-  // Byte-diff check of pushed tier-1 code blobs (kAttrTieredCode): every blob
-  // must equal what this replica's own BaselineCompile produces from the
-  // pushed bytecode. BaselineCompile is a pure function of (code, pool), so
-  // any divergence means the blob does not correspond to the class bytes.
-  bool ValidateTieredBlobs(const CommitRecord& record);
   // Commits accounting (stage counters, audit ring, CPU totals) and stamps
   // the context's flags onto the response.
   ProxyResponse Commit(RequestContext& ctx, ProxyResponse response);
@@ -336,8 +326,6 @@ class DvmProxy {
   StatCounter& c_cert_validate_checks_;
   StatCounter& c_cert_rejects_;
   StatCounter& c_cert_missing_;
-  StatCounter& c_tier_blob_checks_;
-  StatCounter& c_tier_blob_rejects_;
   Histogram& h_request_cpu_nanos_;
 };
 

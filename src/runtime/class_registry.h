@@ -101,9 +101,9 @@ struct PreparedMethod {
   // the tier-up triggers the tier-1 baseline compiler consumes.
   uint64_t invocations = 0;
   uint64_t backedges = 0;
-  // Tier-1 compiled form (DESIGN.md §16): produced locally once the hotness
-  // counters cross the machine's thresholds, or installed from a trusted
-  // proxy-compiled kAttrTieredCode blob at Prepare time. Null while cold.
+  // Tier-1 compiled form (DESIGN.md §16): compiled locally once the hotness
+  // counters cross the machine's thresholds, or at Prepare time when the
+  // class's kAttrHotMethods hint names the method. Null while cold.
   std::unique_ptr<TieredMethod> tier_code;
   // The method uses a construct outside the tier-1 subset, or its compiled
   // code was invalidated (megamorphic site / redefinition): never (re)compile.

@@ -29,8 +29,7 @@ struct RuntimeCounters {
   // Tier-1 baseline compiler (DESIGN.md §16). All engine-internal, like
   // quickened_sites: the virtual clock and the architectural counters above
   // are invariant across tiers.
-  uint64_t tier_compiles = 0;   // local baseline compiles
-  uint64_t tier_installs = 0;   // proxy-compiled blobs installed at Prepare
+  uint64_t tier_compiles = 0;   // baseline compiles (hot or hinted)
   uint64_t tier_deopts = 0;     // bailouts back to the interpreter
   uint64_t osr_entries = 0;     // on-stack replacements at loop backedges
   // Service-specific dynamic work, attributed by the service natives.

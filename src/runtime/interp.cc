@@ -110,29 +110,13 @@ Result<PreparedMethod*> Interpreter::Prepare(RuntimeClass* cls, const MethodInfo
     prepared->handlers.push_back(std::move(entry));
   }
 
-  // Proxy-compiled tier-1 code (DESIGN.md §16): install the shipped blob
-  // instead of compiling locally, but only when the machine trusts the class
-  // channel (the DVM client behind the signed rewrite-cache artifact chain).
-  // Every blob is proof-checked against this method's bytecode before use;
-  // checksum or validation failure falls back to local tiering silently.
-  if (tier_enabled_ && machine_.config().trust_tiered_artifacts) {
-    if (const Attribute* attr = cls->file.FindAttribute(kAttrTieredCode)) {
-      if (auto entries = UnpackTieredAttribute(attr->data); entries.ok()) {
-        for (const auto& [id, blob] : entries.value()) {
-          if (id != method->Id()) {
-            continue;
-          }
-          auto parsed = ParseTieredBlob(blob);
-          if (parsed.ok() && parsed.value()->checksum == Fnv1a(method->code->code) &&
-              ValidateTieredMethod(*parsed.value(), prepared->code, cls->file.pool(),
-                                   method->code->max_stack, method->code->max_locals)
-                  .ok()) {
-            prepared->tier_code = std::move(parsed.value());
-            machine_.counters().tier_installs++;
-          }
-          break;
-        }
-      }
+  // Hot-method hint (DESIGN.md §16): a method the fleet's profile names is
+  // compiled here, from this class's own bytecode, so it runs compiled from
+  // its first entry. The hint carries names only; nothing from it executes.
+  if (tier_enabled_) {
+    if (const Attribute* hint = cls->file.FindAttribute(kAttrHotMethods);
+        hint != nullptr && HintNamesMethod(hint->data, method->Id())) {
+      EnsureTierCode(cls, prepared.get());
     }
   }
 

@@ -123,7 +123,6 @@ TieredMethod* Interpreter::EnsureTierCode(RuntimeClass* cls, PreparedMethod* pre
     prepared->tier_failed = true;
     return nullptr;
   }
-  t->checksum = Fnv1a(prepared->method->code->code);
   prepared->tier_code = std::move(t);
   machine_.counters().tier_compiles++;
   return prepared->tier_code.get();
@@ -152,8 +151,9 @@ void Interpreter::MaybeTierOnEntry(ExecFrame& frame) {
   if (t->invalidated) {
     return;
   }
-  // Proxy-installed blobs activate immediately (the warm-fleet path): tiered
-  // execution is observable-invariant, so running below threshold is safe.
+  // Code compiled at Prepare from a hot-method hint activates immediately
+  // (the warm-fleet path): tiered execution is observable-invariant, so
+  // running below threshold is safe.
   frame.tcode = t;
   frame.cpc = 0;  // entry span head covers bytecode index 0
   frame.compiled_active = true;

@@ -99,11 +99,6 @@ struct MachineConfig {
   // span before deoptimizing, so mixed compiled/interpreted execution is
   // exercised on every tiered method.
   bool tier_force_deopt = false;
-  // Install proxy-compiled code blobs (kAttrTieredCode) at Prepare time.
-  // Off by default: only DVM clients that fetched the class through the
-  // verified replication channel opt in; machines running raw bytes (fuzz,
-  // differential oracles) ignore the attribute entirely.
-  bool trust_tiered_artifacts = false;
   size_t heap_capacity_bytes = 64 * 1024 * 1024;
   size_t max_frames = 2048;
   uint64_t max_instructions = 2'000'000'000;  // runaway-loop backstop

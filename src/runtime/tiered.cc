@@ -1,8 +1,5 @@
 #include "src/runtime/tiered.h"
 
-#include <algorithm>
-#include <cstring>
-
 #include "src/bytecode/descriptor.h"
 #include "src/bytecode/opcodes.h"
 
@@ -276,54 +273,6 @@ bool EndsSpan(Op op) {
   return IsBranch(raw) || IsReturn(raw) || IsCheckedOp(raw);
 }
 
-void PutU16(Bytes* out, uint16_t v) {
-  out->push_back(static_cast<uint8_t>(v & 0xff));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void PutU32(Bytes* out, uint32_t v) {
-  for (int i = 0; i < 4; i++) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutU64(Bytes* out, uint64_t v) {
-  for (int i = 0; i < 8; i++) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-struct TierByteReader {
-  const Bytes& data;
-  size_t pos = 0;
-
-  bool U8(uint8_t* v) {
-    if (pos + 1 > data.size()) return false;
-    *v = data[pos++];
-    return true;
-  }
-  bool U16(uint16_t* v) {
-    if (pos + 2 > data.size()) return false;
-    *v = static_cast<uint16_t>(data[pos] | (data[pos + 1] << 8));
-    pos += 2;
-    return true;
-  }
-  bool U32(uint32_t* v) {
-    if (pos + 4 > data.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 4; i++) *v |= static_cast<uint32_t>(data[pos + i]) << (8 * i);
-    pos += 4;
-    return true;
-  }
-  bool U64(uint64_t* v) {
-    if (pos + 8 > data.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 8; i++) *v |= static_cast<uint64_t>(data[pos + i]) << (8 * i);
-    pos += 8;
-    return true;
-  }
-};
-
 }  // namespace
 
 Op NormalizeQuickOp(Op op) {
@@ -355,15 +304,6 @@ Op NormalizeQuickOp(Op op) {
     default:
       return op;
   }
-}
-
-uint32_t Fnv1a(const Bytes& data) {
-  uint32_t h = 2166136261u;
-  for (uint8_t b : data) {
-    h ^= b;
-    h *= 16777619u;
-  }
-  return h;
 }
 
 std::unique_ptr<TieredMethod> BaselineCompile(const std::vector<Instr>& code,
@@ -457,9 +397,6 @@ std::unique_ptr<TieredMethod> BaselineCompile(const std::vector<Instr>& code,
 
   // --- pass 2: emission, span segmentation, superinstruction fusion ----------
   auto t = std::make_unique<TieredMethod>();
-  t->max_stack = max_stack;
-  t->max_locals = max_locals;
-  t->source_len = static_cast<uint32_t>(n);
 
   struct Fixup {
     uint32_t ci;
@@ -768,466 +705,30 @@ std::unique_ptr<TieredMethod> BaselineCompile(const std::vector<Instr>& code,
   return t;
 }
 
-Bytes SerializeTieredMethod(const TieredMethod& t) {
-  Bytes out;
-  PutU32(&out, kBlobMagic);
-  PutU16(&out, kBlobVersion);
-  PutU32(&out, t.checksum);
-  PutU32(&out, t.max_stack);
-  PutU32(&out, t.max_locals);
-  PutU32(&out, t.source_len);
-  PutU32(&out, static_cast<uint32_t>(t.consts.size()));
-  for (int64_t v : t.consts) {
-    PutU64(&out, static_cast<uint64_t>(v));
+Bytes HotMethodHint(const std::set<std::string>& method_ids) {
+  Bytes hint;
+  for (const std::string& id : method_ids) {
+    if (!hint.empty()) {
+      hint.push_back('\n');
+    }
+    hint.insert(hint.end(), id.begin(), id.end());
   }
-  PutU32(&out, static_cast<uint32_t>(t.code.size()));
-  for (const CInstr& in : t.code) {
-    out.push_back(static_cast<uint8_t>(in.op));
-    out.push_back(in.sub);
-    PutU16(&out, in.flags);
-    PutU32(&out, static_cast<uint32_t>(in.a));
-    PutU32(&out, static_cast<uint32_t>(in.b));
-    PutU32(&out, static_cast<uint32_t>(in.c));
-    PutU32(&out, in.bc);
-    PutU32(&out, in.charge);
-  }
-  return out;
+  return hint;
 }
 
-Result<std::unique_ptr<TieredMethod>> ParseTieredBlob(const Bytes& blob) {
-  TierByteReader r{blob};
-  uint32_t magic = 0;
-  uint16_t version = 0;
-  if (!r.U32(&magic) || magic != kBlobMagic) {
-    return Error{ErrorCode::kParseError, "tiered blob: bad magic"};
-  }
-  if (!r.U16(&version) || version != kBlobVersion) {
-    return Error{ErrorCode::kParseError, "tiered blob: unsupported version"};
-  }
-  auto t = std::make_unique<TieredMethod>();
-  uint32_t n_consts = 0;
-  uint32_t n_code = 0;
-  if (!r.U32(&t->checksum) || !r.U32(&t->max_stack) || !r.U32(&t->max_locals) ||
-      !r.U32(&t->source_len) || !r.U32(&n_consts)) {
-    return Error{ErrorCode::kParseError, "tiered blob: truncated header"};
-  }
-  if (n_consts > 0xffff) {
-    return Error{ErrorCode::kParseError, "tiered blob: const table too large"};
-  }
-  t->consts.reserve(n_consts);
-  for (uint32_t k = 0; k < n_consts; k++) {
-    uint64_t v = 0;
-    if (!r.U64(&v)) {
-      return Error{ErrorCode::kParseError, "tiered blob: truncated const table"};
-    }
-    t->consts.push_back(static_cast<int64_t>(v));
-  }
-  if (!r.U32(&n_code) || n_code == 0 || n_code > 0xffffff) {
-    return Error{ErrorCode::kParseError, "tiered blob: bad code length"};
-  }
-  t->code.reserve(n_code);
-  for (uint32_t k = 0; k < n_code; k++) {
-    CInstr in;
-    uint8_t op = 0;
-    uint32_t a = 0, b = 0, c = 0;
-    if (!r.U8(&op) || !r.U8(&in.sub) || !r.U16(&in.flags) || !r.U32(&a) ||
-        !r.U32(&b) || !r.U32(&c) || !r.U32(&in.bc) || !r.U32(&in.charge)) {
-      return Error{ErrorCode::kParseError, "tiered blob: truncated code"};
-    }
-    if (op > static_cast<uint8_t>(TOp::kLastTOp)) {
-      return Error{ErrorCode::kParseError, "tiered blob: unknown opcode"};
-    }
-    in.op = static_cast<TOp>(op);
-    in.a = static_cast<int32_t>(a);
-    in.b = static_cast<int32_t>(b);
-    in.c = static_cast<int32_t>(c);
-    t->code.push_back(in);
-  }
-  if (r.pos != blob.size()) {
-    return Error{ErrorCode::kParseError, "tiered blob: trailing bytes"};
-  }
-  for (uint32_t k = 0; k < n_code; k++) {
-    if (t->code[k].charge > 0) {
-      if (!t->entry.emplace(t->code[k].bc, k).second) {
-        return Error{ErrorCode::kParseError, "tiered blob: duplicate span head"};
-      }
-    }
-  }
-  return t;
-}
-
-Status ValidateTieredMethod(const TieredMethod& t, const std::vector<Instr>& code,
-                            const ConstantPool& pool, uint32_t max_stack,
-                            uint32_t max_locals) {
-  auto fail = [](const char* msg) { return Status(Error{ErrorCode::kVerifyError, msg}); };
-  if (t.max_stack != max_stack || t.max_locals != max_locals ||
-      t.source_len != code.size()) {
-    return fail("tiered blob: method shape mismatch");
-  }
-  size_t n = t.code.size();
-  if (n == 0 || t.code[0].charge == 0 || t.code[0].bc != 0) {
-    return fail("tiered blob: missing entry span");
-  }
-
-  auto check_local = [&](int32_t ix) {
-    return ix >= 0 && static_cast<uint32_t>(ix) < max_locals;
-  };
-  auto check_branch = [&](int32_t target) {
-    return target >= 0 && static_cast<size_t>(target) < n &&
-           t.code[static_cast<size_t>(target)].charge > 0;
-  };
-
-  // Span coverage: heads ordered by source position, each covering a
-  // contiguous run of source instructions; interior instructions stay inside
-  // their span's run.
-  uint32_t span_bc = 0;
-  uint32_t span_end = 0;
-  for (size_t k = 0; k < n; k++) {
-    const CInstr& in = t.code[k];
-    if (in.bc >= code.size()) {
-      return fail("tiered blob: source index out of range");
-    }
-    if (in.charge > 0) {
-      if (k > 0 && in.bc < span_end) {
-        return fail("tiered blob: overlapping spans");
-      }
-      span_bc = in.bc;
-      span_end = in.bc + in.charge;
-      if (span_end > code.size()) {
-        return fail("tiered blob: span charge past method end");
-      }
-    } else if (k == 0 || in.bc < span_bc || in.bc >= span_end) {
-      return fail("tiered blob: instruction outside its span");
-    }
-
-    Op site = NormalizeQuickOp(code[in.bc].op);
-    switch (in.op) {
-      case TOp::kNop:
-      case TOp::kConstI:
-      case TOp::kConstNull:
-      case TOp::kPop:
-      case TOp::kDup:
-      case TOp::kDupX1:
-      case TOp::kSwap:
-      case TOp::kIneg:
-      case TOp::kLneg:
-      case TOp::kI2l:
-      case TOp::kL2i:
-      case TOp::kLcmp:
-        break;
-      case TOp::kConstL:
-        if (in.a < 0 || static_cast<size_t>(in.a) >= t.consts.size()) {
-          return fail("tiered blob: const index out of range");
-        }
-        break;
-      case TOp::kLoad:
-      case TOp::kStore:
-      case TOp::kIinc:
-        if (!check_local(in.a)) {
-          return fail("tiered blob: local index out of range");
-        }
-        break;
-      case TOp::kIAlu:
-        if (!IsIntAluOp(static_cast<Op>(in.sub))) {
-          return fail("tiered blob: bad int alu sub-op");
-        }
-        break;
-      case TOp::kLAlu:
-        if (!IsLongAluOp(static_cast<Op>(in.sub))) {
-          return fail("tiered blob: bad long alu sub-op");
-        }
-        break;
-      case TOp::kAluLL:
-      case TOp::kAluLLS:
-        if (!IsIntAluOp(static_cast<Op>(in.sub)) || !check_local(in.a) ||
-            !check_local(in.b) ||
-            (in.op == TOp::kAluLLS && !check_local(in.c))) {
-          return fail("tiered blob: bad fused alu");
-        }
-        break;
-      case TOp::kAluLC:
-      case TOp::kAluLCS:
-        if (!IsIntAluOp(static_cast<Op>(in.sub)) || !check_local(in.a) ||
-            (in.op == TOp::kAluLCS && !check_local(in.c))) {
-          return fail("tiered blob: bad fused alu");
-        }
-        break;
-      case TOp::kGoto:
-      case TOp::kBrI:
-      case TOp::kBrII:
-      case TOp::kBrA:
-        if (!check_branch(in.a)) {
-          return fail("tiered blob: branch target not a span head");
-        }
-        if (in.op == TOp::kBrI && !IsIfCond(static_cast<Op>(in.sub))) {
-          return fail("tiered blob: bad branch condition");
-        }
-        if (in.op == TOp::kBrII && !IsIcmpCond(static_cast<Op>(in.sub))) {
-          return fail("tiered blob: bad branch condition");
-        }
-        if (in.op == TOp::kBrA && !IsRefCond(static_cast<Op>(in.sub))) {
-          return fail("tiered blob: bad branch condition");
-        }
-        break;
-      case TOp::kBrLL:
-      case TOp::kBrLC:
-        if (!check_branch(in.c) || !IsIcmpCond(static_cast<Op>(in.sub)) ||
-            !check_local(in.a) || (in.op == TOp::kBrLL && !check_local(in.b))) {
-          return fail("tiered blob: bad fused branch");
-        }
-        break;
-      // Checked ops must name the live site's op family: the runtime
-      // re-dispatches through the bytecode site, so a mismatch would desync
-      // the validated stack model from what actually executes.
-      case TOp::kDivRem:
-        if (site != static_cast<Op>(in.sub) ||
-            (site != Op::kIdiv && site != Op::kIrem && site != Op::kLdiv &&
-             site != Op::kLrem)) {
-          return fail("tiered blob: div site mismatch");
-        }
-        break;
-      case TOp::kArrLoad:
-        if (site != static_cast<Op>(in.sub) ||
-            (site != Op::kIaload && site != Op::kLaload && site != Op::kAaload)) {
-          return fail("tiered blob: array load site mismatch");
-        }
-        break;
-      case TOp::kArrStore:
-        if (site != static_cast<Op>(in.sub) ||
-            (site != Op::kIastore && site != Op::kLastore && site != Op::kAastore)) {
-          return fail("tiered blob: array store site mismatch");
-        }
-        break;
-      case TOp::kArrLen:
-        if (site != Op::kArraylength) {
-          return fail("tiered blob: arraylength site mismatch");
-        }
-        break;
-      case TOp::kField:
-        if (site != static_cast<Op>(in.sub) ||
-            (site != Op::kGetstatic && site != Op::kPutstatic &&
-             site != Op::kGetfield && site != Op::kPutfield)) {
-          return fail("tiered blob: field site mismatch");
-        }
-        break;
-      case TOp::kInvoke: {
-        if (site != static_cast<Op>(in.sub) || !IsInvoke(site)) {
-          return fail("tiered blob: invoke site mismatch");
-        }
-        StackEffect eff;
-        if (!SourceEffect(code[in.bc], pool, &eff) || eff.pops != in.a ||
-            eff.pushes != in.b) {
-          return fail("tiered blob: invoke arity mismatch");
-        }
-        break;
-      }
-      case TOp::kNew:
-        if (site != Op::kNew) {
-          return fail("tiered blob: new site mismatch");
-        }
-        break;
-      case TOp::kNewArray:
-        if (site != Op::kNewarray || in.a != code[in.bc].a) {
-          return fail("tiered blob: newarray site mismatch");
-        }
-        break;
-      case TOp::kANewArray:
-        if (site != Op::kAnewarray) {
-          return fail("tiered blob: anewarray site mismatch");
-        }
-        break;
-      case TOp::kRet:
-        if (site != static_cast<Op>(in.sub) || !IsReturn(site)) {
-          return fail("tiered blob: return site mismatch");
-        }
-        break;
-    }
-  }
-
-  // Stack-depth abstract interpretation over the compiled form.
-  auto effect = [&](const CInstr& in, StackEffect* eff) {
-    switch (in.op) {
-      case TOp::kNop:
-      case TOp::kIinc:
-      case TOp::kAluLLS:
-      case TOp::kAluLCS:
-      case TOp::kGoto:
-      case TOp::kBrLL:
-      case TOp::kBrLC:
-        *eff = {0, 0};
-        break;
-      case TOp::kConstI:
-      case TOp::kConstL:
-      case TOp::kConstNull:
-      case TOp::kLoad:
-      case TOp::kAluLL:
-      case TOp::kAluLC:
-        *eff = {0, 1};
-        break;
-      case TOp::kStore:
-      case TOp::kPop:
-      case TOp::kBrI:
-        *eff = {1, 0};
-        break;
-      case TOp::kDup:
-        *eff = {1, 2};
-        break;
-      case TOp::kDupX1:
-        *eff = {2, 3};
-        break;
-      case TOp::kSwap:
-        *eff = {2, 2};
-        break;
-      case TOp::kIAlu:
-      case TOp::kLAlu:
-      case TOp::kLcmp:
-      case TOp::kDivRem:
-        *eff = {2, 1};
-        break;
-      case TOp::kIneg:
-      case TOp::kLneg:
-      case TOp::kI2l:
-      case TOp::kL2i:
-      case TOp::kArrLen:
-      case TOp::kNewArray:
-      case TOp::kANewArray:
-        *eff = {1, 1};
-        break;
-      case TOp::kBrII:
-      case TOp::kBrA:
-        *eff = {in.op == TOp::kBrA && (static_cast<Op>(in.sub) == Op::kIfnull ||
-                                       static_cast<Op>(in.sub) == Op::kIfnonnull)
-                    ? 1
-                    : 2,
-                0};
-        break;
-      case TOp::kArrLoad:
-        *eff = {2, 1};
-        break;
-      case TOp::kArrStore:
-        *eff = {3, 0};
-        break;
-      case TOp::kField: {
-        Op site = static_cast<Op>(in.sub);
-        *eff = {site == Op::kPutfield ? 2 : (site == Op::kGetstatic ? 0 : 1),
-                (site == Op::kGetstatic || site == Op::kGetfield) ? 1 : 0};
-        break;
-      }
-      case TOp::kInvoke:
-        *eff = {in.a, in.b};
-        break;
-      case TOp::kNew:
-        *eff = {0, 1};
-        break;
-      case TOp::kRet:
-        *eff = {static_cast<Op>(in.sub) == Op::kReturn ? 0 : 1, 0};
-        break;
-    }
-  };
-
-  std::vector<int> depth(n, -1);
-  std::vector<uint32_t> worklist = {0};
-  depth[0] = 0;
-  while (!worklist.empty()) {
-    uint32_t k = worklist.back();
-    worklist.pop_back();
-    const CInstr& in = t.code[k];
-    StackEffect eff;
-    effect(in, &eff);
-    int d = depth[k];
-    if (d < eff.pops || d - eff.pops + eff.pushes > static_cast<int>(max_stack)) {
-      return fail("tiered blob: stack depth out of bounds");
-    }
-    int out = d - eff.pops + eff.pushes;
-    auto flow = [&](size_t succ) -> bool {
-      if (succ >= n) {
-        return false;
-      }
-      if (depth[succ] == -1) {
-        depth[succ] = out;
-        worklist.push_back(static_cast<uint32_t>(succ));
-      } else if (depth[succ] != out) {
-        return false;
-      }
+bool HintNamesMethod(const Bytes& hint, std::string_view method_id) {
+  std::string_view rest(reinterpret_cast<const char*>(hint.data()), hint.size());
+  while (!rest.empty()) {
+    const size_t end = rest.find('\n');
+    if (rest.substr(0, end) == method_id) {
       return true;
-    };
-    bool falls = true;
-    size_t target = 0;
-    bool has_target = false;
-    switch (in.op) {
-      case TOp::kGoto:
-        falls = false;
-        target = static_cast<size_t>(in.a);
-        has_target = true;
-        break;
-      case TOp::kBrI:
-      case TOp::kBrII:
-      case TOp::kBrA:
-        target = static_cast<size_t>(in.a);
-        has_target = true;
-        break;
-      case TOp::kBrLL:
-      case TOp::kBrLC:
-        target = static_cast<size_t>(in.c);
-        has_target = true;
-        break;
-      case TOp::kRet:
-        falls = false;
-        break;
-      default:
-        break;
     }
-    if (has_target && !flow(target)) {
-      return fail("tiered blob: inconsistent branch depth");
+    if (end == std::string_view::npos) {
+      break;
     }
-    if (falls && !flow(k + 1)) {
-      return fail("tiered blob: control falls off compiled body");
-    }
+    rest.remove_prefix(end + 1);
   }
-  return Status::Ok();
-}
-
-Bytes PackTieredAttribute(const std::vector<std::pair<std::string, Bytes>>& blobs) {
-  Bytes out;
-  PutU16(&out, static_cast<uint16_t>(blobs.size()));
-  for (const auto& [id, blob] : blobs) {
-    PutU16(&out, static_cast<uint16_t>(id.size()));
-    out.insert(out.end(), id.begin(), id.end());
-    PutU32(&out, static_cast<uint32_t>(blob.size()));
-    out.insert(out.end(), blob.begin(), blob.end());
-  }
-  return out;
-}
-
-Result<std::vector<std::pair<std::string, Bytes>>> UnpackTieredAttribute(const Bytes& data) {
-  TierByteReader r{data};
-  uint16_t count = 0;
-  if (!r.U16(&count)) {
-    return Error{ErrorCode::kParseError, "tiered attribute: truncated count"};
-  }
-  std::vector<std::pair<std::string, Bytes>> out;
-  out.reserve(count);
-  for (uint16_t k = 0; k < count; k++) {
-    uint16_t id_len = 0;
-    if (!r.U16(&id_len) || r.pos + id_len > data.size()) {
-      return Error{ErrorCode::kParseError, "tiered attribute: truncated id"};
-    }
-    std::string id(data.begin() + static_cast<long>(r.pos),
-                   data.begin() + static_cast<long>(r.pos + id_len));
-    r.pos += id_len;
-    uint32_t blob_len = 0;
-    if (!r.U32(&blob_len) || r.pos + blob_len > data.size()) {
-      return Error{ErrorCode::kParseError, "tiered attribute: truncated blob"};
-    }
-    Bytes blob(data.begin() + static_cast<long>(r.pos),
-               data.begin() + static_cast<long>(r.pos + blob_len));
-    r.pos += blob_len;
-    out.emplace_back(std::move(id), std::move(blob));
-  }
-  if (r.pos != data.size()) {
-    return Error{ErrorCode::kParseError, "tiered attribute: trailing bytes"};
-  }
-  return out;
+  return false;
 }
 
 }  // namespace dvm

@@ -6,23 +6,23 @@
 // architectural counters advance exactly as the interpreter would, and every
 // span head doubles as a deoptimization point (compiled-pc -> bytecode-pc).
 //
-// BaselineCompile is a deterministic pure function of (code, pool): the proxy
-// and every replica produce byte-identical blobs for the same method, which is
-// what lets replicas validate a pushed artifact's blob by recompiling and
-// byte-comparing (the PR 9 proof-check philosophy applied to compiled code).
+// BaselineCompile is a deterministic pure function of (code, pool), so the
+// network ships no compiled code: the proxy ships the names of hot methods
+// (kAttrHotMethods) and each client compiles them itself.
 #ifndef SRC_RUNTIME_TIERED_H_
 #define SRC_RUNTIME_TIERED_H_
 
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/bytecode/code.h"
 #include "src/bytecode/constant_pool.h"
-#include "src/support/result.h"
+#include "src/support/bytes.h"
 
 namespace dvm {
 
@@ -101,10 +101,6 @@ struct TieredMethod {
   // bytecode index -> compiled index, one entry per span head. Every branch
   // target and every deopt resume point is a span head.
   std::unordered_map<uint32_t, uint32_t> entry;
-  uint32_t checksum = 0;           // Fnv1a over the method's encoded bytes
-  uint32_t max_stack = 0;
-  uint32_t max_locals = 0;
-  uint32_t source_len = 0;         // decoded source instruction count
   // Set on megamorphic transition or class redefinition; compiled frames
   // observe it at span boundaries and deoptimize.
   bool invalidated = false;
@@ -118,30 +114,17 @@ std::unique_ptr<TieredMethod> BaselineCompile(const std::vector<Instr>& code,
                                               const ConstantPool& pool,
                                               uint32_t max_stack, uint32_t max_locals);
 
-// Blob form carried by the kAttrTieredCode class attribute.
-Bytes SerializeTieredMethod(const TieredMethod& t);
-Result<std::unique_ptr<TieredMethod>> ParseTieredBlob(const Bytes& blob);
+// The hot-method hint payload (kAttrHotMethods) naming `method_ids`
+// ("name:descriptor"): the ids in set order, joined by '\n'.
+Bytes HotMethodHint(const std::set<std::string>& method_ids);
 
-// Proof-checks a parsed blob against the method it claims to accelerate:
-// abstract interpretation over the compiled form validating stack depths,
-// local indices, branch targets, span charges and per-site agreement with the
-// live bytecode (checked ops must name the site's op family; invoke arity is
-// re-derived from the pool). A blob that passes cannot move sp or a local
-// index out of bounds at runtime.
-Status ValidateTieredMethod(const TieredMethod& t, const std::vector<Instr>& code,
-                            const ConstantPool& pool, uint32_t max_stack,
-                            uint32_t max_locals);
-
-// FNV-1a over raw bytes; ties a blob to the exact encoded method body.
-uint32_t Fnv1a(const Bytes& data);
-
-// kAttrTieredCode payload: sorted list of ("name:descriptor", blob).
-Bytes PackTieredAttribute(const std::vector<std::pair<std::string, Bytes>>& blobs);
-Result<std::vector<std::pair<std::string, Bytes>>> UnpackTieredAttribute(const Bytes& data);
+// True when the hint payload has a line equal to `method_id`. Any payload is
+// well formed: junk bytes and lines that name no method simply never match.
+bool HintNamesMethod(const Bytes& hint, std::string_view method_id);
 
 // Maps quick forms to their raw source op (identity for raw ops). Compiling
 // from a partially quickened body and from pristine bytecode must produce the
-// same blob.
+// same compiled code.
 Op NormalizeQuickOp(Op op);
 
 }  // namespace dvm

@@ -112,6 +112,15 @@ Result<DecodedCode> Phase2(const ClassFile& cls, const MethodInfo& method, Verif
     }
   }
 
+  // Phase 3 keeps one frame per instruction; bound their total size before
+  // any is materialized.
+  const uint64_t frame_slots =
+      uint64_t{instrs.size()} * (uint64_t{code.max_locals} + code.max_stack);
+  if (frame_slots > kMaxFrameTableSlots) {
+    return Verr("frame table of " + std::to_string(frame_slots) + " slots exceeds " +
+                std::to_string(kMaxFrameTableSlots) + " in " + method.Id());
+  }
+
   return mc;
 }
 

@@ -29,8 +29,17 @@ namespace dvm {
 // certificate validator; bumps stats->phase1_checks.
 Status Phase1(const ClassFile& cls, VerifyStats* stats);
 
+// Upper bound on instructions x (max_locals + max_stack), the type slots of a
+// method's frame table (one frame per instruction, see FrameTable). Without
+// it, 100 bytes of nops with max_locals = 65535 would make the verifier
+// allocate ~78 MB. The largest method in the bundled workloads takes 476,960
+// slots (an applet Main.bulk of 119,240 instructions x 4), under a quarter of
+// the bound.
+inline constexpr uint64_t kMaxFrameTableSlots = uint64_t{1} << 21;
+
 // Phase 2: instruction integrity (decode, operand validity, handler ranges,
-// fall-off-the-end). Bumps stats->phase2_checks / instructions_verified.
+// fall-off-the-end, the frame-table bound). Bumps stats->phase2_checks /
+// instructions_verified.
 Result<DecodedCode> Phase2(const ClassFile& cls, const MethodInfo& method, VerifyStats* stats);
 
 // Class-level inheritance check shared by VerifyClass and the certificate

@@ -1,10 +1,11 @@
 // Verification type lattice and abstract frames for the phase-3 dataflow pass.
 //
-//            Top (unusable / conflict)
-//           /  |   \
-//        Int  Long  Ref(C) ... Ref(Object)
-//                     |
-//                    Null        (bottom of the reference sub-lattice)
+//                  Top (unusable / conflict)
+//         ____________|______________
+//        |      |         |          |
+//       Int   Long     Ref(C) ... Ref(Object)
+//                         |
+//                        Null      (bottom of the reference sub-lattice)
 //
 // Uninit(C, site) values are produced by `new` and become Ref(C) when the
 // matching <init> runs; they merge only with themselves.

@@ -9,10 +9,10 @@
 // threshold 1 over the synthetic workload applications, then exercise each
 // deoptimization path on purpose-built classes: forced per-span deopt,
 // exception throw from compiled code, inline-cache megamorphic retirement,
-// class-redefinition discard, and mid-loop on-stack replacement. The proxy
-// side pins the artifact plane: a pushed kAttrTieredCode blob the receiving
-// replica cannot reproduce by recompiling is rejected fail-closed, and a
-// client that trusts shipped blobs installs them instead of compiling.
+// class-redefinition discard, and mid-loop on-stack replacement. The last
+// group pins hot-method hints: a hinted method compiles at Prepare and runs
+// compiled from its first call, a hint naming nothing compiles nothing, a
+// machine with tiering off ignores it, and replicas emit it byte-identically.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -288,10 +288,12 @@ TEST_F(TieredRegressionTest, RedefinitionDiscardsThenRetiers) {
 }
 
 // ---------------------------------------------------------------------------
-// Artifact plane: pushed blobs are recompile-verified; clients install
-// shipped tiers instead of compiling.
+// Hot-method hints: the proxy names hot methods (kAttrHotMethods) and a
+// tiering client compiles them locally at Prepare. The hint is advice, never
+// code.
 // ---------------------------------------------------------------------------
 
+// app/Hot.work sums 0..99 in a loop; main prints whether it got 4950.
 ClassFile HotLoopClass() {
   ClassBuilder cb("app/Hot", "java/lang/Object");
   MethodBuilder& m = cb.AddMethod(AccessFlags::kPublic | AccessFlags::kStatic, "work", "()I");
@@ -302,12 +304,40 @@ ClassFile HotLoopClass() {
       .Emit(Op::kIinc, 1, 1)
       .Branch(Op::kGoto, loop);
   m.Bind(end).LoadLocal("I", 0).Emit(Op::kIreturn);
+  MethodBuilder& main = cb.AddMethod(AccessFlags::kPublic | AccessFlags::kStatic, "main", "()V");
+  Label wrong = main.NewLabel();
+  main.InvokeStatic("app/Hot", "work", "()I").PushInt(4950).Branch(Op::kIfIcmpne, wrong)
+      .PushString("4950").InvokeStatic("java/lang/System", "println", "(Ljava/lang/String;)V")
+      .Emit(Op::kReturn);
+  main.Bind(wrong)
+      .PushString("wrong").InvokeStatic("java/lang/System", "println", "(Ljava/lang/String;)V")
+      .Emit(Op::kReturn);
   return cb.Build().value();
 }
 
-class TieredArtifactTest : public ::testing::Test {
+AppBundle HotBundle(ClassFile cls) {
+  AppBundle bundle;
+  bundle.name = "hot";
+  bundle.main_class = "app/Hot";
+  bundle.classes.push_back(std::move(cls));
+  return bundle;
+}
+
+// app/Hot with its hint attribute set to `payload` by hand.
+AppBundle HotBundleWithHint(const std::string& payload) {
+  ClassFile cls = HotLoopClass();
+  cls.SetAttribute(kAttrHotMethods, Bytes(payload.begin(), payload.end()));
+  return HotBundle(std::move(cls));
+}
+
+// Production thresholds: nothing in these runs gets hot on its own.
+MachineConfig ProductionConfig(bool force_deopt = false) {
+  return TieredConfig(10'000, 10'000, force_deopt);
+}
+
+class HotMethodHintTest : public ::testing::Test {
  protected:
-  TieredArtifactTest() : library_(BuildSystemLibrary()) {
+  HotMethodHintTest() : library_(BuildSystemLibrary()) {
     InstallSystemLibrary(origin_);
     origin_.AddClassFile(HotLoopClass());
     for (const auto& cls : library_) {
@@ -315,13 +345,13 @@ class TieredArtifactTest : public ::testing::Test {
     }
   }
 
-  // A proxy whose pipeline pre-compiles app/Hot.work (the warm-fleet path).
-  std::unique_ptr<DvmProxy> MakeCompilingProxy() {
+  // A proxy whose compiler filter hints `hot` for app/Hot (the warm-fleet
+  // path).
+  std::unique_ptr<DvmProxy> MakeHintingProxy(std::set<std::string> hot) {
     auto proxy = std::make_unique<DvmProxy>(ProxyConfig{}, &env_, &origin_);
     proxy->AddFilter(std::make_unique<VerificationFilter>());
     auto compiler = std::make_unique<CompilerFilter>("");
-    compiler->SetHotMethods({{"app/Hot", {"work:()I"}}});
-    compiler_ = compiler.get();
+    compiler->SetHotMethods({{"app/Hot", std::move(hot)}});
     proxy->AddFilter(std::move(compiler));
     return proxy;
   }
@@ -329,85 +359,77 @@ class TieredArtifactTest : public ::testing::Test {
   MapClassProvider origin_;
   std::vector<ClassFile> library_;
   MapClassEnv env_;
-  CompilerFilter* compiler_ = nullptr;
 };
 
-TEST_F(TieredArtifactTest, TamperedBlobIsRejectedOnPush) {
-  auto rewriter = MakeCompilingProxy();
-  ASSERT_TRUE(rewriter->HandleRequest("app/Hot").ok());
-  EXPECT_EQ(compiler_->stats().tier_blobs, 1u);
-  const std::string key = DvmProxy::RewriteCacheKey("app/Hot", "");
-  auto cached = rewriter->cache().Peek(key);
-  ASSERT_TRUE(cached.has_value());
+TEST_F(HotMethodHintTest, HintedMethodCompilesAtPrepareAndRunsCompiled) {
+  auto proxy = MakeHintingProxy({"work:()I"});
+  auto response = proxy->HandleRequest("app/Hot");
+  ASSERT_TRUE(response.ok()) << response.error().ToString();
+  auto shipped = ReadClassFile(response->data);
+  ASSERT_TRUE(shipped.ok()) << shipped.error().ToString();
+  const AppBundle bundle = HotBundle(shipped.value());
 
-  // Flip one byte inside the attached tier blob and re-serialize the class.
-  auto cls = ReadClassFile(cached->main_class);
-  ASSERT_TRUE(cls.ok()) << cls.error().ToString();
-  const Attribute* attr = cls->FindAttribute(kAttrTieredCode);
-  ASSERT_NE(attr, nullptr);
-  auto blobs = UnpackTieredAttribute(attr->data);
-  ASSERT_TRUE(blobs.ok()) << blobs.error().ToString();
-  ASSERT_EQ(blobs->size(), 1u);
-  (*blobs)[0].second[blobs->at(0).second.size() / 2] ^= 0x01;
-  cls->SetAttribute(kAttrTieredCode, PackTieredAttribute(blobs.value()));
-  auto tampered = WriteClassFile(cls.value());
-  ASSERT_TRUE(tampered.ok()) << tampered.error().ToString();
+  // work runs once with 100 backedges, far below the thresholds, yet it is
+  // compiled at Prepare; output, virtual clock and architectural counters
+  // still equal the reference engine's.
+  RuntimeCounters counters = RunTieredVsReference(bundle, ProductionConfig());
+  EXPECT_EQ(counters.tier_compiles, 1u);
+  EXPECT_EQ(counters.osr_entries, 0u);
 
-  // Push without a certificate (the legacy trusted-install path) so the blob
-  // check is the deciding gate.
-  DvmProxy receiver(ProxyConfig{}, &env_, &origin_);
-  CommitRecord record;
-  record.type = CommitRecordType::kArtifact;
-  record.cache_key = key;
-  record.class_name = "app/Hot";
-  record.main_class = tampered.value();
-  receiver.ApplyCommitRecord(record);
-  EXPECT_EQ(receiver.stats().Value("proxy.tier_blob_rejects"), 1u);
-  EXPECT_EQ(receiver.replicated_installs(), 0u);
-  EXPECT_FALSE(receiver.cache().Peek(key).has_value());
-
-  // The honest artifact installs and its blob is recompile-verified.
-  record.main_class = cached->main_class;
-  receiver.ApplyCommitRecord(record);
-  EXPECT_GE(receiver.stats().Value("proxy.tier_blob_checks"), 1u);
-  EXPECT_EQ(receiver.stats().Value("proxy.tier_blob_rejects"), 1u);
-  EXPECT_EQ(receiver.replicated_installs(), 1u);
-  EXPECT_TRUE(receiver.cache().Peek(key).has_value());
+  // With per-span deopt forced, the one invocation of work deoptimizes, so
+  // it entered compiled code on that first invocation.
+  counters = RunTieredVsReference(bundle, ProductionConfig(/*force_deopt=*/true));
+  EXPECT_EQ(counters.tier_compiles, 1u);
+  EXPECT_GE(counters.tier_deopts, 1u);
 }
 
-TEST_F(TieredArtifactTest, ClientInstallsShippedBlobInsteadOfCompiling) {
-  auto rewriter = MakeCompilingProxy();
-  auto response = rewriter->HandleRequest("app/Hot");
-  ASSERT_TRUE(response.ok()) << response.error().ToString();
+// Junk bytes, an empty hint, and ids naming no method of the class (a wrong
+// descriptor, another class's method, a near miss) compile nothing and change
+// no observable.
+TEST_F(HotMethodHintTest, HintNamingNoMethodCompilesNothing) {
+  const RuntimeCounters plain = RunTieredVsReference(HotBundle(HotLoopClass()), ProductionConfig());
+  EXPECT_EQ(plain.tier_compiles, 0u);
+  const std::string junk("\xff\x00\nwork:()I\x01\n\x80\xfe", 15);
+  for (const std::string& payload :
+       {junk, std::string(), std::string("work:()J"), std::string("call:(Lapp/MBase;)I"),
+        std::string("work:()I "), std::string("\n\n"), std::string("work")}) {
+    const RuntimeCounters counters =
+        RunTieredVsReference(HotBundleWithHint(payload), ProductionConfig());
+    EXPECT_EQ(counters.tier_compiles, 0u) << payload;
+    EXPECT_EQ(counters.instructions, plain.instructions) << payload;
+    EXPECT_EQ(counters.method_invocations, plain.method_invocations) << payload;
+  }
+}
 
-  MapClassProvider provider;
-  InstallSystemLibrary(provider);
-  provider.Add("app/Hot", response->data);
+// A machine with tiering off never compiles, hint or not.
+TEST_F(HotMethodHintTest, TieringOffMachineIgnoresHint) {
+  const AppBundle bundle = HotBundleWithHint("work:()I");
+  EXPECT_EQ(RunTieredVsReference(bundle, ReferenceConfig()).tier_compiles, 0u);
+  EXPECT_EQ(RunTieredVsReference(bundle, TieredConfig(0, 0)).tier_compiles, 0u);
+  // The same bytes on a tiering machine compile the hinted method.
+  EXPECT_EQ(RunTieredVsReference(bundle, ProductionConfig()).tier_compiles, 1u);
+}
 
-  // Default (10k) thresholds: the method is nowhere near hot, yet the shipped
-  // blob activates immediately — zero local compiles.
-  MachineConfig trusting;
-  trusting.trust_tiered_artifacts = true;
-  Machine client(trusting, &provider);
-  auto outcome = client.CallStatic("app/Hot", "work", "()I");
-  ASSERT_TRUE(outcome.ok()) << outcome.error().ToString();
-  EXPECT_EQ(outcome->value.AsInt(), 4950);
-  EXPECT_EQ(client.counters().tier_installs, 1u);
-  EXPECT_EQ(client.counters().tier_compiles, 0u);
+// Replicas given the same hot set emit byte-identical artifacts, hint
+// included, and the hint lists the ids sorted and '\n'-joined.
+TEST_F(HotMethodHintTest, ReplicasEmitIdenticalHintedArtifacts) {
+  const std::string key = DvmProxy::RewriteCacheKey("app/Hot", "");
+  std::vector<Bytes> artifacts;
+  for (int replica = 0; replica < 3; replica++) {
+    auto proxy = MakeHintingProxy({"work:()I", "main:()V"});
+    ASSERT_TRUE(proxy->HandleRequest("app/Hot").ok());
+    auto cached = proxy->cache().Peek(key);
+    ASSERT_TRUE(cached.has_value());
+    artifacts.push_back(cached->main_class);
+  }
+  EXPECT_EQ(artifacts[1], artifacts[0]);
+  EXPECT_EQ(artifacts[2], artifacts[0]);
 
-  // Without opt-in the attribute is ignored entirely (fuzz/differential
-  // machines run raw bytes and must not execute attacker-supplied blobs).
-  MapClassProvider provider2;
-  InstallSystemLibrary(provider2);
-  provider2.Add("app/Hot", response->data);
-  Machine wary(MachineConfig{}, &provider2);
-  auto cold = wary.CallStatic("app/Hot", "work", "()I");
-  ASSERT_TRUE(cold.ok()) << cold.error().ToString();
-  EXPECT_EQ(cold->value.AsInt(), outcome->value.AsInt());
-  EXPECT_EQ(wary.counters().tier_installs, 0u);
-  EXPECT_EQ(wary.printed(), client.printed());
-  EXPECT_EQ(wary.virtual_nanos(), client.virtual_nanos());
-  EXPECT_EQ(wary.counters().instructions, client.counters().instructions);
+  auto cls = ReadClassFile(artifacts[0]);
+  ASSERT_TRUE(cls.ok()) << cls.error().ToString();
+  const Attribute* hint = cls->FindAttribute(kAttrHotMethods);
+  ASSERT_NE(hint, nullptr);
+  EXPECT_EQ(std::string(hint->data.begin(), hint->data.end()), "main:()V\nwork:()I");
 }
 
 }  // namespace

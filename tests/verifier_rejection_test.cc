@@ -6,8 +6,12 @@
 // meant to centralize defenses against.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/bytecode/builder.h"
 #include "src/runtime/syslib.h"
+#include "src/verifier/certificate.h"
+#include "src/verifier/dataflow.h"
 #include "src/verifier/verifier.h"
 
 namespace dvm {
@@ -20,6 +24,24 @@ struct RejectionCase {
   uint16_t max_stack;
   uint16_t max_locals;
 };
+
+// Names the case in ctest output; gtest would otherwise print the struct's
+// raw bytes (pointers), which move with the binary's layout.
+void PrintTo(const RejectionCase& c, std::ostream* os) { *os << c.name; }
+
+// The system library as a verification environment.
+const MapClassEnv& LibraryEnv() {
+  static const std::vector<ClassFile>* library =
+      new std::vector<ClassFile>(BuildSystemLibrary());
+  static const MapClassEnv* env = [] {
+    auto* env = new MapClassEnv;
+    for (const auto& lib_cls : *library) {
+      env->Add(&lib_cls);
+    }
+    return env;
+  }();
+  return *env;
+}
 
 std::vector<Instr> JustReturn(ConstantPool&) { return {{Op::kReturn, 0, 0}}; }
 
@@ -165,13 +187,7 @@ TEST_P(VerifierRejectionTest, UnsafeBytecodeIsRejected) {
   method->code->max_stack = param.max_stack;
   method->code->max_locals = param.max_locals;
 
-  static const std::vector<ClassFile>* library =
-      new std::vector<ClassFile>(BuildSystemLibrary());
-  MapClassEnv env;
-  for (const auto& lib_cls : *library) {
-    env.Add(&lib_cls);
-  }
-  auto verified = VerifyClass(cls, env);
+  auto verified = VerifyClass(cls, LibraryEnv());
   ASSERT_FALSE(verified.ok()) << "verifier accepted unsafe pattern " << param.name;
   EXPECT_EQ(verified.error().code, ErrorCode::kVerifyError) << verified.error().ToString();
 }
@@ -201,14 +217,7 @@ Result<VerifiedClass> VerifyHandAssembled(const std::vector<Instr>& body,
   method->code->max_stack = 4;
   method->code->max_locals = 2;
   method->code->handlers = std::move(handlers);
-
-  static const std::vector<ClassFile>* library =
-      new std::vector<ClassFile>(BuildSystemLibrary());
-  MapClassEnv env;
-  for (const auto& lib_cls : *library) {
-    env.Add(&lib_cls);
-  }
-  return VerifyClass(cls, env);
+  return VerifyClass(cls, LibraryEnv());
 }
 
 // tests/corpus/handler_inverted.bin: start_pc >= end_pc protects nothing and
@@ -237,15 +246,67 @@ TEST(VerifierHandlerRejection, MalformedMethodDescriptor) {
   ClassFile cls = cb.Build().value();
   cls.FindMethod("f", "()V")->descriptor = "(\x03";
 
-  static const std::vector<ClassFile>* library =
-      new std::vector<ClassFile>(BuildSystemLibrary());
-  MapClassEnv env;
-  for (const auto& lib_cls : *library) {
-    env.Add(&lib_cls);
-  }
-  auto verified = VerifyClass(cls, env);
+  auto verified = VerifyClass(cls, LibraryEnv());
   ASSERT_FALSE(verified.ok());
   EXPECT_EQ(verified.error().code, ErrorCode::kVerifyError) << verified.error().ToString();
+}
+
+// ---------------------------------------------------------------------------
+// Frame-table bound: phase 3 keeps one max_locals-wide frame per instruction,
+// so instructions x (max_locals + max_stack) is capped at kMaxFrameTableSlots
+// before any frame is built.
+// ---------------------------------------------------------------------------
+
+// evil/E.f()V: `nops` nops, then return, with the given frame limits.
+ClassFile NopMethodClass(size_t nops, uint16_t max_stack, uint16_t max_locals) {
+  std::vector<Instr> body(nops, Instr{Op::kNop, 0, 0});
+  body.push_back({Op::kReturn, 0, 0});
+  ClassBuilder cb("evil/E", "java/lang/Object");
+  cb.AddMethod(AccessFlags::kStatic | AccessFlags::kPublic, "f", "()V").Emit(Op::kReturn);
+  ClassFile cls = cb.Build().value();
+  MethodInfo* method = cls.FindMethod("f", "()V");
+  method->code->code = EncodeCode(body).value();
+  method->code->max_stack = max_stack;
+  method->code->max_locals = max_locals;
+  return cls;
+}
+
+// 101 instructions x 65535 locals would be 6.6 M slots (~80 MB of frames).
+// The verifier and the certificate validator both refuse it up front; the
+// validator is given the honest body's certificate, which it never reaches.
+TEST(VerifierFrameTableBound, HostileMaxLocalsIsRejectedByVerifyAndValidate) {
+  ClassCertificate cert;
+  ASSERT_TRUE(VerifyClass(NopMethodClass(100, 0, 1), LibraryEnv(), &cert).ok());
+
+  const ClassFile hostile = NopMethodClass(100, 0, 65535);
+  auto verified = VerifyClass(hostile, LibraryEnv());
+  ASSERT_FALSE(verified.ok());
+  EXPECT_EQ(verified.error().code, ErrorCode::kVerifyError);
+  EXPECT_NE(verified.error().message.find("frame table"), std::string::npos)
+      << verified.error().ToString();
+
+  ValidateStats stats;
+  Status validated = ValidateCertificate(hostile, LibraryEnv(), cert, &stats);
+  ASSERT_FALSE(validated.ok());
+  EXPECT_EQ(validated.error().code, ErrorCode::kVerifyError);
+  EXPECT_NE(validated.error().message.find("frame table"), std::string::npos)
+      << validated.error().ToString();
+}
+
+// 16 instructions x (65535 + 65535) = 2,097,120 slots, just under 2^21:
+// verified, certified and validated. One more nop crosses the bound.
+TEST(VerifierFrameTableBound, MethodJustUnderTheBoundVerifies) {
+  static_assert(16 * (65535 + 65535) <= kMaxFrameTableSlots);
+  static_assert(17 * (65535 + 65535) > kMaxFrameTableSlots);
+  const ClassFile cls = NopMethodClass(15, 65535, 65535);
+  ClassCertificate cert;
+  auto verified = VerifyClass(cls, LibraryEnv(), &cert);
+  ASSERT_TRUE(verified.ok()) << verified.error().ToString();
+  ValidateStats stats;
+  Status validated = ValidateCertificate(cls, LibraryEnv(), cert, &stats);
+  EXPECT_TRUE(validated.ok()) << validated.error().ToString();
+
+  EXPECT_FALSE(VerifyClass(NopMethodClass(16, 65535, 65535), LibraryEnv()).ok());
 }
 
 }  // namespace
